@@ -210,34 +210,12 @@ def main():
         f"unfiltered probe (> 1.10x) on a highly selective join"
     )
 
-    # Pipeline fusion gate: the morsel-driven fused select→select→project
-    # chain must beat the operator-at-a-time path on multi-core runners
-    # (fusion pays through parallelism over chunks; on one core it is
-    # roughly a wash). Byte-identity of the fused and materialized answers
-    # and traces is asserted inside the bench itself on every machine; the
-    # DBLP D4 whole-plan pair is reported for information.
+    # Tracer fusion: the DBLP D4 whole-plan trace, fused and operator at a
+    # time. Byte identity of the two traces is asserted inside the bench
+    # itself on every machine; the ratio is reported for information.
     pipeline = cases("pipeline")
-    for case in (
-        "chain/fused",
-        "chain/materialized",
-        "dblp_d4/fused",
-        "dblp_d4/materialized",
-    ):
+    for case in ("dblp_d4/fused", "dblp_d4/materialized"):
         assert case in pipeline, f"pipeline group lacks {case}: {sorted(pipeline)}"
-    fused_ms = pipeline["chain/fused"]["min_ms"]
-    mat_ms = pipeline["chain/materialized"]["min_ms"]
-    fused_speedup = mat_ms / fused_ms if fused_ms > 0 else float("inf")
-    print(
-        f"pipeline chain: {mat_ms:.3f} ms materialized / {fused_ms:.3f} ms fused "
-        f"= {fused_speedup:.2f}x (cpus={cpus})"
-    )
-    if cpus >= 4:
-        assert fused_speedup >= 1.3, (
-            f"pipeline chain: expected >= 1.3x from fusion on a "
-            f"{cpus}-cpu runner, got {fused_speedup:.2f}x"
-        )
-    else:
-        print(f"NOTICE: pipeline fusion gate skipped on a {cpus}-cpu runner (< 4)")
     d4_fused = pipeline["dblp_d4/fused"]["min_ms"]
     d4_mat = pipeline["dblp_d4/materialized"]["min_ms"]
     d4_speedup = d4_mat / d4_fused if d4_fused > 0 else float("inf")

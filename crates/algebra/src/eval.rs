@@ -10,17 +10,17 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use nested_data::{Bag, BagBuilder, ColumnarBag, NestedType, Sym, Tuple, TupleType, Value};
+use nested_data::{Bag, BagBuilder, ColumnarBag, Sym, Tuple, TupleType, Value};
 use whynot_exec::par_map;
 
-use crate::agg::AggFunc;
 use crate::database::Database;
 use crate::error::{AlgebraError, AlgebraResult};
 use crate::expr::Expr;
 use crate::join::{join_matches, JoinSide};
-use crate::operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn};
+use crate::operator::{FlattenKind, JoinKind, Operator, ProjColumn};
 use crate::plan::{OpNode, QueryPlan};
 use crate::schema::output_type;
+use crate::tuple_op::{row_tuple, FlattenOp, GroupAggOp, NestOp, TupleOp};
 
 /// Evaluates a plan over a database, returning the result relation.
 ///
@@ -34,33 +34,16 @@ pub fn evaluate(plan: &QueryPlan, db: &Database) -> AlgebraResult<Arc<Bag>> {
         .unwrap_or_else(|trip| Err(AlgebraError::Resource(trip)))
 }
 
-/// Evaluates a single plan node over a database.
-///
-/// When pipelining is enabled and this node tops a fusable
-/// select→select→project chain, the chain executes as one morsel-driven pass
-/// over its source ([`crate::pipeline`]); the result is byte-identical to
-/// the operator-at-a-time path below.
+/// Evaluates a single plan node over a database, one operator at a time:
+/// every input is evaluated to a full bag before the node's operator runs.
 pub fn evaluate_node(node: &OpNode, db: &Database) -> AlgebraResult<Arc<Bag>> {
-    if crate::pipeline::pipelining_enabled() {
-        if let Some(chain) = crate::pipeline::collect_chain(node) {
-            let source = evaluate_node(chain.source, db)?;
-            return crate::pipeline::eval_chain(&chain, source);
-        }
-    }
     let inputs: Vec<Arc<Bag>> =
         node.inputs.iter().map(|i| evaluate_node(i, db)).collect::<AlgebraResult<_>>()?;
     apply_operator(node, &inputs, db)
 }
 
 /// Applies a node's operator to already-evaluated inputs.
-///
-/// Exposed separately so that the provenance crate can interleave tracing with
-/// evaluation while reusing the exact same operator semantics.
-pub fn apply_operator(
-    node: &OpNode,
-    inputs: &[Arc<Bag>],
-    db: &Database,
-) -> AlgebraResult<Arc<Bag>> {
+fn apply_operator(node: &OpNode, inputs: &[Arc<Bag>], db: &Database) -> AlgebraResult<Arc<Bag>> {
     if whynot_guard::armed() {
         // Deadline/cancellation check once per operator application, and the
         // operator's total input rows drawn from the eval-row budget —
@@ -96,15 +79,21 @@ fn apply_operator_impl(
     };
     match &node.op {
         Operator::TableAccess { table } => Ok(Arc::clone(db.relation_shared(table)?)),
-        Operator::Projection { columns } => Ok(Arc::new(eval_projection(input(0)?, columns))),
-        Operator::Rename { pairs } => {
-            let mapping: Vec<(Sym, Sym)> =
-                pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect();
-            Ok(Arc::new(input(0)?.map_values(|v| match v.as_tuple() {
-                Some(t) => Value::from_tuple(t.rename(&mapping)),
-                None => v.clone(),
-            })))
-        }
+        Operator::Projection { columns } => match input(0)?.columnar() {
+            Some(cols) => {
+                whynot_obs::add("path.columnar", 1);
+                Ok(Arc::new(eval_projection_columnar(&cols, columns)))
+            }
+            None => {
+                whynot_obs::add("path.rows", 1);
+                eval_tuple_op(node, input(0)?, db).map(Arc::new)
+            }
+        },
+        Operator::Rename { .. }
+        | Operator::TupleFlatten { .. }
+        | Operator::TupleNest { .. }
+        | Operator::NestAggregation { .. }
+        | Operator::Dedup => eval_tuple_op(node, input(0)?, db).map(Arc::new),
         Operator::Selection { predicate } => Ok(Arc::new(eval_selection(input(0)?, predicate))),
         Operator::Join { kind, predicate } => {
             let left_schema = output_type(&node.inputs[0], db)?;
@@ -126,29 +115,18 @@ fn apply_operator_impl(
             &TupleType::empty(),
             &TupleType::empty(),
         ))),
-        Operator::TupleFlatten { source, alias } => {
-            let input_schema = output_type(&node.inputs[0], db)?;
-            eval_tuple_flatten(input(0)?, source, alias.as_deref(), &input_schema).map(Arc::new)
+        Operator::Flatten { .. } => {
+            let kernel = FlattenOp::compile(&node.op, &output_type(&node.inputs[0], db)?);
+            eval_flatten(input(0)?, &kernel).map(Arc::new)
         }
-        Operator::Flatten { kind, attr, alias } => {
-            let input_schema = output_type(&node.inputs[0], db)?;
-            eval_flatten(input(0)?, *kind, attr, alias.as_deref(), &input_schema).map(Arc::new)
+        Operator::RelationNest { .. } => {
+            Ok(Arc::new(eval_relation_nest(input(0)?, &NestOp::compile(&node.op))))
         }
-        Operator::TupleNest { attrs, into } => {
-            eval_tuple_nest(input(0)?, attrs, into).map(Arc::new)
-        }
-        Operator::RelationNest { attrs, into } => {
-            eval_relation_nest(input(0)?, attrs, into).map(Arc::new)
-        }
-        Operator::NestAggregation { func, attr, field, output } => {
-            eval_nest_aggregation(input(0)?, *func, attr, field.as_deref(), output).map(Arc::new)
-        }
-        Operator::GroupAggregation { group_by, aggs } => {
-            eval_group_aggregation(input(0)?, group_by, aggs).map(Arc::new)
+        Operator::GroupAggregation { .. } => {
+            Ok(Arc::new(eval_group_aggregation(input(0)?, &GroupAggOp::compile(&node.op))))
         }
         Operator::Union => Ok(Arc::new(input(0)?.union(input(1)?))),
         Operator::Difference => Ok(Arc::new(input(0)?.difference(input(1)?))),
-        Operator::Dedup => Ok(Arc::new(input(0)?.dedup())),
     }
 }
 
@@ -179,22 +157,15 @@ pub fn columnar_mask(cols: &ColumnarBag, predicate: &Expr) -> Vec<bool> {
     .collect()
 }
 
-fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {
-    let names: Vec<Sym> = columns.iter().map(|c| Sym::intern(&c.name)).collect();
-    if let Some(cols) = input.columnar() {
-        whynot_obs::add("path.columnar", 1);
-        return eval_projection_columnar(&cols, &names, columns);
-    }
-    whynot_obs::add("path.rows", 1);
+/// A 1:1 operator over a bag: its [`TupleOp`] kernel applied to every entry.
+fn eval_tuple_op(node: &OpNode, input: &Bag, db: &Database) -> AlgebraResult<Bag> {
+    let kernel = TupleOp::compile(&node.op, &node.inputs[0], db)?;
     let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let projected = Tuple::new(
-            names.iter().zip(columns.iter()).map(|(name, c)| (*name, c.expr.eval(&tuple))),
-        );
-        out.add(Value::from_tuple(projected), *m);
+    for (value, mult) in input.iter() {
+        let (value, mult) = kernel.apply_entry(value, *mult)?;
+        out.add(value, mult);
     }
-    out.finish()
+    Ok(out.finish())
 }
 
 /// Columnar projection: evaluates each output column over per-chunk column
@@ -202,7 +173,8 @@ fn eval_projection(input: &Bag, columns: &[ProjColumn]) -> Bag {
 /// therefore the canonical result bag) are identical to the row-oriented
 /// path's, because both build `⟨name: expr(row)⟩` from the same expression
 /// semantics.
-fn eval_projection_columnar(cols: &ColumnarBag, names: &[Sym], columns: &[ProjColumn]) -> Bag {
+fn eval_projection_columnar(cols: &ColumnarBag, columns: &[ProjColumn]) -> Bag {
+    let names: Vec<Sym> = columns.iter().map(|c| Sym::intern(&c.name)).collect();
     let chunks = columnar_chunks(cols.rows());
     let mults = cols.mults();
     let per_chunk: Vec<Vec<(Value, u64)>> = par_map(&chunks, |range| {
@@ -297,212 +269,54 @@ fn eval_join(
     out.finish()
 }
 
-fn eval_tuple_flatten(
-    input: &Bag,
-    source: &nested_data::AttrPath,
-    alias: Option<&str>,
-    input_schema: &TupleType,
-) -> AlgebraResult<Bag> {
-    let source_ty = input_schema.resolve_path(source).ok().cloned();
-    let alias = alias.map(Sym::intern);
+fn eval_flatten(input: &Bag, kernel: &FlattenOp) -> AlgebraResult<Bag> {
     let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let extracted = tuple.get_path(source).unwrap_or(Value::Null);
-        let result = match alias {
-            Some(alias) => tuple.with_field(alias, extracted),
-            None => match extracted {
-                Value::Tuple(inner) => tuple.concat(&inner)?,
-                Value::Null => match &source_ty {
-                    Some(NestedType::Tuple(t)) => {
-                        let names: Vec<Sym> = t.attribute_syms().collect();
-                        tuple.concat(&Tuple::null_padded(&names))?
-                    }
-                    _ => tuple.clone(),
-                },
-                other => {
-                    return Err(AlgebraError::InvalidParameter {
-                        operator: "Fᵀ".into(),
-                        message: format!(
-                        "tuple flatten without alias expects a tuple value at `{source}`, found {}",
-                        other.kind()
-                    ),
-                    })
-                }
-            },
-        };
-        out.add(Value::from_tuple(result), *m);
-    }
-    Ok(out.finish())
-}
-
-fn eval_flatten(
-    input: &Bag,
-    kind: FlattenKind,
-    attr: &str,
-    alias: Option<&str>,
-    input_schema: &TupleType,
-) -> AlgebraResult<Bag> {
-    let attr = Sym::intern(attr);
-    let alias = alias.map(Sym::intern);
-    let element_ty = match input_schema.attribute(attr) {
-        Some(NestedType::Relation(t)) => Some(t.clone()),
-        _ => None,
-    };
-    let padding_names: Vec<Sym> =
-        element_ty.as_ref().map(|t| t.attribute_syms().collect()).unwrap_or_default();
-    let value_field = Sym::intern(&format!("{attr}_value"));
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-        let elements: Vec<(Value, u64)> = match &nested {
-            Value::Bag(b) => b.iter().cloned().collect(),
-            _ => Vec::new(),
-        };
-        if elements.is_empty() {
-            if kind == FlattenKind::Outer {
-                let padded = match alias {
-                    Some(alias) => tuple.with_field(alias, Value::Null),
-                    None => tuple.concat(&Tuple::null_padded(&padding_names))?,
-                };
-                out.add(Value::from_tuple(padded), *m);
-            }
-            continue;
+    for (value, mult) in input.iter() {
+        let tuple = row_tuple(value);
+        let rows = kernel.elements(tuple)?;
+        if rows.is_empty() && kernel.kind() == FlattenKind::Outer {
+            out.add(Value::from_tuple(kernel.padding(tuple)?), *mult);
         }
-        for (element, em) in elements {
-            let combined = match alias {
-                Some(alias) => tuple.with_field(alias, element),
-                None => match element {
-                    Value::Tuple(inner) => tuple.concat(&inner)?,
-                    other => {
-                        // Elements that are not tuples (e.g. bare strings) are
-                        // exposed under the attribute's own name suffixed with
-                        // `_value` so flattening plain lists still works.
-                        tuple.with_field(value_field, other)
-                    }
-                },
-            };
-            out.add(Value::from_tuple(combined), m * em);
+        for (row, element_mult) in rows {
+            out.add(Value::from_tuple(row), mult * element_mult);
         }
     }
     Ok(out.finish())
 }
 
-fn eval_tuple_nest(input: &Bag, attrs: &[String], into: &str) -> AlgebraResult<Bag> {
-    let attr_syms: Vec<Sym> = attrs.iter().map(|a| Sym::intern(a)).collect();
-    let into = Sym::intern(into);
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.project(&attr_syms).unwrap_or_else(|_| Tuple::empty());
-        let remaining = tuple.without(&attr_syms);
-        out.add(Value::from_tuple(remaining.with_field(into, Value::from_tuple(nested))), *m);
-    }
-    Ok(out.finish())
-}
-
-fn eval_relation_nest(input: &Bag, attrs: &[String], into: &str) -> AlgebraResult<Bag> {
-    let attr_syms: Vec<Sym> = attrs.iter().map(|a| Sym::intern(a)).collect();
-    let into = Sym::intern(into);
-    let groups = input.group_by(|v| {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        Value::from_tuple(tuple.without(&attr_syms))
-    });
+fn eval_relation_nest(input: &Bag, kernel: &NestOp) -> Bag {
+    let groups = input.group_by(|v| Value::from_tuple(kernel.key(row_tuple(v))));
     let mut out = BagBuilder::with_capacity(groups.len());
     for (key, group) in groups {
         let mut nested = BagBuilder::with_capacity(group.distinct());
-        for (v, m) in group.iter() {
-            let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-            if let Ok(projected) = tuple.project(&attr_syms) {
-                // Mirror Spark's behaviour (relied upon by scenario D2): rows
-                // whose nested values are all null do not contribute an
-                // element to the nested collection.
-                if projected.fields().iter().any(|(_, v)| !v.is_null()) {
-                    nested.add(Value::from_tuple(projected), *m);
-                }
+        for (value, mult) in group.iter() {
+            if let Some(member) = kernel.member(row_tuple(value)) {
+                nested.add(Value::from_tuple(member), *mult);
             }
         }
-        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        out.add(Value::from_tuple(key_tuple.with_field(into, Value::from_bag(nested.finish()))), 1);
+        out.add(Value::from_tuple(kernel.output(row_tuple(&key), nested.finish())), 1);
     }
-    Ok(out.finish())
+    out.finish()
 }
 
-fn eval_nest_aggregation(
-    input: &Bag,
-    func: AggFunc,
-    attr: &str,
-    field: Option<&str>,
-    output: &str,
-) -> AlgebraResult<Bag> {
-    let attr = Sym::intern(attr);
-    let field = field.map(Sym::intern);
-    let output = Sym::intern(output);
-    let mut out = BagBuilder::with_capacity(input.distinct());
-    for (v, m) in input.iter() {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-        let values: Vec<Value> = match &nested {
-            Value::Bag(b) => b
-                .iter_expanded()
-                .map(|element| match field {
-                    Some(f) => {
-                        element.as_tuple().and_then(|t| t.get(f).cloned()).unwrap_or(Value::Null)
-                    }
-                    None => element.clone(),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let aggregated = func.apply(values.iter());
-        let aggregated = match (&aggregated, func) {
-            // count over an empty / null collection is 0, not ⊥
-            (Value::Null, AggFunc::Count | AggFunc::CountDistinct) => Value::Int(0),
-            _ => aggregated,
-        };
-        out.add(Value::from_tuple(tuple.with_field(output, aggregated)), *m);
-    }
-    Ok(out.finish())
-}
-
-fn eval_group_aggregation(
-    input: &Bag,
-    group_by: &[String],
-    aggs: &[AggSpec],
-) -> AlgebraResult<Bag> {
-    let group_syms: Vec<Sym> = group_by.iter().map(|a| Sym::intern(a)).collect();
-    let output_syms: Vec<Sym> = aggs.iter().map(|a| Sym::intern(&a.output)).collect();
-    let groups = input.group_by(|v| {
-        let tuple = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        Value::from_tuple(tuple.project(&group_syms).unwrap_or_else(|_| Tuple::empty()))
-    });
+fn eval_group_aggregation(input: &Bag, kernel: &GroupAggOp) -> Bag {
+    let groups = input.group_by(|v| Value::from_tuple(kernel.key(row_tuple(v))));
     let mut out = BagBuilder::with_capacity(groups.len());
     for (key, group) in groups {
-        let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-        let mut result = key_tuple;
-        for (agg, output) in aggs.iter().zip(output_syms.iter()) {
-            let values: Vec<Value> = group
-                .iter_expanded()
-                .map(|v| {
-                    let t = v.as_tuple().cloned().unwrap_or_else(Tuple::empty);
-                    agg.input.eval(&t)
-                })
-                .collect();
-            result = result.with_field(*output, agg.func.apply(values.iter()));
-        }
-        out.add(Value::from_tuple(result), 1);
+        let members: Vec<&Tuple> = group.iter_expanded().map(row_tuple).collect();
+        out.add(Value::from_tuple(kernel.aggregate(row_tuple(&key), &members)), 1);
     }
-    Ok(out.finish())
+    out.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggFunc;
     use crate::builder::PlanBuilder;
     use crate::expr::CmpOp;
-    use crate::operator::ProjColumn;
-    use nested_data::Nip;
+    use crate::operator::AggSpec;
+    use nested_data::{NestedType, Nip};
 
     /// The person table of Figure 1a.
     fn person_db() -> Database {

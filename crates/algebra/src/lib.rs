@@ -14,10 +14,10 @@
 //! * [`join`] — the shared physical join core (partitioned hash join with a
 //!   parallel nested-loop fallback), used by the evaluator and by the
 //!   provenance tracer's generalized join.
-//! * [`pipeline`] — morsel-driven pipelined execution: maximal
-//!   select→select→project/rename chains fuse into per-chunk passes that are
-//!   byte-identical to the operator-at-a-time path ([`with_pipelining`] is
-//!   the escape hatch).
+//! * [`tuple_op`] — the per-tuple operator kernels: the one definition of
+//!   what π, ρ, Fᵀ, νᵀ, γᵀ, δ, relation flatten, relation nest and grouped
+//!   aggregation do to a single tuple, shared by the evaluator and the
+//!   provenance tracer.
 //! * [`params`] — operator parameters, the admissible parameter changes of
 //!   Table 2, and reparameterizations (Definitions 6 and 7).
 //! * [`database`] — named input relations with their schemas.
@@ -36,9 +36,9 @@ pub mod expr;
 pub mod join;
 pub mod operator;
 pub mod params;
-pub mod pipeline;
 pub mod plan;
 pub mod schema;
+pub mod tuple_op;
 
 pub use agg::AggFunc;
 pub use builder::PlanBuilder;
@@ -49,5 +49,4 @@ pub use expr::{CmpOp, Expr};
 pub use join::{with_bloom_filter, with_hash_join, JoinMatches, JoinSide};
 pub use operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn, RenamePair};
 pub use params::{OperatorParams, ParamChange, Reparameterization};
-pub use pipeline::{fused_chains, with_pipelining};
 pub use plan::{OpId, OpNode, QueryPlan};

@@ -595,62 +595,23 @@ pub fn join_group() {
     group.finish();
 }
 
-/// The `pipeline` microbench group: morsel-driven pipelined execution
-/// against the operator-at-a-time path it fuses, on both engines that
-/// pipeline — the evaluator (select→select→project chains over typed column
-/// chunks) and the tracer (fused structural replay).
+/// The `pipeline` microbench group: the tracer's fused replay of 1:1
+/// operator chains against the operator-at-a-time replay it fuses.
 ///
-/// * `chain/*` — a select→select→project chain above an equi join over two
-///   wide flat relations: the chain fuses into one per-morsel pass over the
-///   join output instead of materializing two intermediate canonical bags.
 /// * `dblp_d4/*` — the whole-plan generalized trace of DBLP D4 (multi-SA),
 ///   whose flatten→project and select→select→project runs dominate the
-///   trace; the fused replay eliminates the per-tuple singleton-bag
-///   evaluation.
+///   trace; the fused replay threads each tuple through a whole run per
+///   morsel instead of materializing every operator's trace.
 ///
-/// Before measuring, the group *asserts* byte-identity: the fused answer and
-/// trace must equal the `with_pipelining(false)` ones — pipelining is a pure
+/// Before measuring, the group *asserts* byte-identity: the fused trace must
+/// equal the `with_pipelining(false)` one — tracer fusion is a pure
 /// performance knob, like threads, the columnar layout, and the hash join.
 pub fn pipeline_group() {
-    use nrab_algebra::expr::{CmpOp, Expr};
-    use nrab_algebra::{with_pipelining, JoinKind, PlanBuilder, ProjColumn};
+    use nrab_provenance::with_pipelining;
     use whynot_core::alternatives::enumerate_schema_alternatives;
     use whynot_core::backtrace::schema_backtrace;
 
     let mut group = BenchGroup::new("pipeline");
-
-    // σ→σ→π above an equi join: the join breaks the pipeline, the chain
-    // above it fuses. 20000 join rows flow through the chain.
-    let chain_db = join_db(20_000, 400, 400);
-    let chain_plan = PlanBuilder::table("fact")
-        .join(PlanBuilder::table("dim"), JoinKind::Inner, equi_join_predicate())
-        .select(Expr::attr_cmp("fqty", CmpOp::Lt, 40i64))
-        .select(Expr::attr_cmp("dprio", CmpOp::Ge, 1i64))
-        .project(vec![
-            ProjColumn::passthrough("fname"),
-            ProjColumn::computed(
-                "total",
-                Expr::arith(
-                    Expr::attr("famount"),
-                    nrab_algebra::expr::ArithOp::Add,
-                    Expr::attr("dscale"),
-                ),
-            ),
-        ])
-        .build()
-        .expect("chain plan builds");
-    let fused = evaluate(&chain_plan, &chain_db).expect("fused eval");
-    let materialized =
-        with_pipelining(false, || evaluate(&chain_plan, &chain_db).expect("materialized eval"));
-    assert!(
-        fused == materialized,
-        "the fused chain must be byte-identical to the operator-at-a-time path"
-    );
-    assert!(!fused.is_empty(), "the chain benchmark must produce rows");
-    group.bench("chain/fused", || evaluate(&chain_plan, &chain_db).expect("fused"));
-    group.bench("chain/materialized", || {
-        with_pipelining(false, || evaluate(&chain_plan, &chain_db).expect("materialized"))
-    });
 
     // The whole-plan DBLP D4 generalized trace — the workload behind the
     // committed `value_layer` and `parallel` baselines.

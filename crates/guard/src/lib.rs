@@ -445,16 +445,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unarmed_checks_are_free_and_ok() {
-        assert!(!armed());
-        assert!(current().is_none());
-        assert!(checkpoint().is_ok());
-        assert!(consume_trace_tuples(1_000_000).is_ok());
-        assert!(consume_eval_rows(1_000_000).is_ok());
-        enforce();
-    }
-
-    #[test]
     fn zero_timeout_trips_at_first_checkpoint() {
         let guard = Guard::new(Some(0), None, None);
         assert!(guard.is_limited());

@@ -339,8 +339,19 @@ impl Drop for Participant<'_> {
 mod tests {
     use super::*;
 
+    /// The profile and timeline recorders are process-wide, so every test in
+    /// this crate that opens spans holds this lock: the timeline tests assert
+    /// exact event names, which a concurrently running test's spans would
+    /// join.
+    pub(crate) static SPAN_TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SPAN_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn disabled_sites_are_inert() {
+        let _serial = serial();
         // No session on this thread: spans and counters must not record.
         let (_, report) = profile(|| ());
         assert_eq!(report.root.children.len(), 0);
@@ -355,6 +366,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate_by_name() {
+        let _serial = serial();
         let (_, report) = profile(|| {
             for _ in 0..3 {
                 let _outer = span("outer");
@@ -377,6 +389,7 @@ mod tests {
 
     #[test]
     fn par_collect_merges_under_the_open_span() {
+        let _serial = serial();
         let (_, report) = profile(|| {
             let _region = span("region");
             let collect = ParCollect::new(2).expect("profiling enabled");
@@ -404,6 +417,7 @@ mod tests {
 
     #[test]
     fn signature_ignores_wall_times() {
+        let _serial = serial();
         let run = || {
             profile(|| {
                 let _a = span("a");
@@ -421,6 +435,7 @@ mod tests {
 
     #[test]
     fn nested_sessions_keep_the_flag_set() {
+        let _serial = serial();
         let ((), outer) = profile(|| {
             let _s = span("outer_only");
             let ((), inner) = profile(|| {

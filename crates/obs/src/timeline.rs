@@ -15,6 +15,12 @@
 //! Recording is wall-clock based and therefore not byte-deterministic; what
 //! *is* deterministic is the multiset of event names and the begin/end
 //! balance per thread, which is what the tests pin.
+//!
+//! A recorded timeline is balanced by construction, even for spans that
+//! straddle the session's start or end on a thread that was already busy:
+//! an End whose Begin fell before the thread joined the session is dropped,
+//! and a span still open when the session ends is closed by an End event at
+//! the teardown timestamp.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,8 +100,16 @@ impl Timeline {
     }
 }
 
+/// One thread's events within a session, with the names of the spans it
+/// opened in the session and has not closed yet (innermost last).
+struct ThreadEvents {
+    thread: u64,
+    events: Vec<TimelineEvent>,
+    open: Vec<String>,
+}
+
 /// One thread's shared event buffer within a session.
-type EventBuffer = Arc<Mutex<Vec<TimelineEvent>>>;
+type EventBuffer = Arc<Mutex<ThreadEvents>>;
 
 /// One session's event store: per-thread buffers registered on first use.
 struct Sink {
@@ -138,7 +152,11 @@ fn register_thread(epoch: u64) -> Option<EventBuffer> {
     if sink.epoch != epoch {
         return None;
     }
-    let buffer = Arc::new(Mutex::new(Vec::new()));
+    let buffer = Arc::new(Mutex::new(ThreadEvents {
+        thread: thread_id(),
+        events: Vec::new(),
+        open: Vec::new(),
+    }));
     lock(&sink.buffers).push(Arc::clone(&buffer));
     Some(buffer)
 }
@@ -155,7 +173,16 @@ pub(crate) fn record_event(name: String, phase: TimelinePhase) {
             *cached = register_thread(epoch).map(|buffer| (epoch, buffer));
         }
         if let Some((_, buffer)) = &*cached {
-            lock(buffer).push(TimelineEvent { thread: thread_id(), name, phase, at_ns });
+            let mut buffer = lock(buffer);
+            match phase {
+                TimelinePhase::Begin => buffer.open.push(name.clone()),
+                // The span opened before this thread joined the session, so
+                // its Begin was never recorded: drop the End as well.
+                TimelinePhase::End if buffer.open.pop().is_none() => return,
+                TimelinePhase::End => {}
+            }
+            let thread = buffer.thread;
+            buffer.events.push(TimelineEvent { thread, name, phase, at_ns });
         }
     });
 }
@@ -195,9 +222,23 @@ pub fn record<R>(f: impl FnOnce() -> R) -> (R, Timeline) {
         EPOCH.fetch_add(1, Ordering::AcqRel);
         *guard = None;
     }
+    // Spans still open at teardown (work that outlives the session on some
+    // thread) are closed innermost first. Every recorded event read its
+    // clock before the epoch bump above, so these Ends sort after them.
+    let closed_at = monotonic_ns();
     let mut events = Vec::new();
     for buffer in lock(&sink.buffers).drain(..) {
-        events.append(&mut lock(&buffer));
+        let mut buffer = lock(&buffer);
+        events.append(&mut buffer.events);
+        while let Some(name) = buffer.open.pop() {
+            let thread = buffer.thread;
+            events.push(TimelineEvent {
+                thread,
+                name,
+                phase: TimelinePhase::End,
+                at_ns: closed_at,
+            });
+        }
     }
     events.sort_by_key(|e| e.at_ns);
     (result, Timeline { events })
@@ -207,15 +248,11 @@ pub fn record<R>(f: impl FnOnce() -> R) -> (R, Timeline) {
 mod tests {
     use super::*;
     use crate::span;
-
-    /// Only one [`record`] session is live at a time (extras degrade to an
-    /// empty timeline), so tests that assert on recorded events take this
-    /// lock to avoid racing each other under the parallel test runner.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    use crate::tests::serial;
 
     #[test]
     fn records_balanced_begin_end_pairs() {
-        let _serial = lock(&TEST_LOCK);
+        let _serial = serial();
         let ((), timeline) = record(|| {
             let _outer = span("outer");
             {
@@ -242,7 +279,7 @@ mod tests {
 
     #[test]
     fn disabled_path_records_nothing() {
-        let _serial = lock(&TEST_LOCK);
+        let _serial = serial();
         {
             let _s = span("outside_any_session");
         }
@@ -268,8 +305,39 @@ mod tests {
     }
 
     #[test]
+    fn spans_straddling_a_session_boundary_stay_balanced() {
+        let _serial = serial();
+        let (opened_tx, opened_rx) = std::sync::mpsc::channel();
+        let (close_tx, close_rx) = std::sync::mpsc::channel();
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let (worker, first) = record(|| {
+            let worker = std::thread::spawn(move || {
+                let straddler = span("straddler");
+                opened_tx.send(()).expect("the test thread listens");
+                close_rx.recv().expect("the test thread releases the span");
+                drop(straddler);
+                closed_tx.send(()).expect("the test thread listens");
+            });
+            opened_rx.recv().expect("the worker opens its span");
+            worker
+        });
+        // Still open when the first session ends: closed at teardown.
+        assert!(first.check_balanced().is_ok());
+        let phases: Vec<TimelinePhase> =
+            first.events.iter().filter(|e| e.name == "straddler").map(|e| e.phase).collect();
+        assert_eq!(phases, [TimelinePhase::Begin, TimelinePhase::End]);
+        // Closed during the next session, which never saw it open: dropped.
+        let ((), second) = record(|| {
+            close_tx.send(()).expect("the worker listens");
+            closed_rx.recv().expect("the worker closes its span");
+        });
+        worker.join().expect("worker");
+        assert!(second.events.iter().all(|e| e.name != "straddler"), "{:?}", second.events);
+    }
+
+    #[test]
     fn worker_threads_join_the_timeline() {
-        let _serial = lock(&TEST_LOCK);
+        let _serial = serial();
         let ((), timeline) = record(|| {
             let handles: Vec<_> = (0..2)
                 .map(|i| {

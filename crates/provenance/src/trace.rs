@@ -24,21 +24,19 @@
 //! to the serial one at any `WHYNOT_THREADS` (the cross-crate determinism
 //! tests enforce this).
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nested_data::{
-    AttrPath, Bag, Column, ColumnarBag, NestedType, Nip, Sym, Tuple, TupleType, Value,
-};
-use nrab_algebra::eval::{apply_operator, columnar_chunks, columnar_mask};
+use nested_data::{Bag, Column, ColumnarBag, Nip, Tuple, Value};
+use nrab_algebra::eval::{columnar_chunks, columnar_mask};
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
     JoinMatches, JoinSide,
 };
-use nrab_algebra::pipeline::pipelining_enabled;
 use nrab_algebra::schema::output_type;
-use nrab_algebra::{AggFunc, ProjColumn};
+use nrab_algebra::tuple_op::{row_tuple, FlattenOp, GroupAggOp, NestOp, TupleOp};
 use nrab_algebra::{
     AlgebraError, AlgebraResult, Database, FlattenKind, JoinKind, OpId, OpNode, Operator, QueryPlan,
 };
@@ -46,6 +44,34 @@ use whynot_exec::{par_map, par_map_range};
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
+
+thread_local! {
+    /// Thread-local tracer fusion flag (default: enabled). See
+    /// [`with_pipelining`].
+    static PIPELINING_ENABLED: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Runs `f` with the tracer's fused replay of 1:1 operator chains enabled or
+/// disabled on the current thread, restoring the previous setting afterwards
+/// (also on panic).
+///
+/// Disabling traces every operator on its own. That operator-at-a-time
+/// replay is the reference the pipeline equivalence tests and the `pipeline`
+/// bench group compare the fused replay against; the trace is identical
+/// either way. The flag is read on the calling thread before any fan-out.
+pub fn with_pipelining<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore {
+        previous: bool,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.previous;
+            PIPELINING_ENABLED.with(|c| c.set(previous));
+        }
+    }
+    let _restore = Restore { previous: PIPELINING_ENABLED.with(|c| c.replace(enabled)) };
+    f()
+}
 
 /// Traces a plan over a database under the given schema alternatives.
 ///
@@ -229,10 +255,14 @@ impl<'a> Tracer<'a> {
         self.sas.len()
     }
 
-    /// The effective (SA-substituted) operator of a node, wrapped in a node
-    /// that preserves the original children so schema inference still works.
-    fn effective_node(&self, node: &OpNode, sa: usize) -> OpNode {
-        OpNode::new(node.id, self.sas[sa].effective_operator(node), node.inputs.clone())
+    /// Compiles a structural 1:1 operator once per schema alternative, from
+    /// the alternative's effective (substituted) operator. A kernel that does
+    /// not compile makes every variant vanish under its alternative.
+    fn compile_tuple_ops(&self, node: &OpNode) -> Vec<AlgebraResult<TupleOp>> {
+        self.sas
+            .iter()
+            .map(|sa| TupleOp::compile(&sa.effective_operator(node), &node.inputs[0], self.db))
+            .collect()
     }
 
     fn take_trace(&mut self, op: OpId) -> OpTrace {
@@ -250,7 +280,7 @@ impl<'a> Tracer<'a> {
         // replay each. The flag is read here, on the calling thread, before
         // any fan-out — pool workers only execute morsels of an
         // already-compiled chain.
-        if pipelining_enabled() {
+        if PIPELINING_ENABLED.with(Cell::get) {
             let mut chain: Vec<&OpNode> = Vec::new();
             let mut cur = node;
             while tracer_fusable(&cur.op) {
@@ -349,9 +379,7 @@ impl<'a> Tracer<'a> {
         let child_trace = self.take_trace(ops[0].inputs[0].id);
         let n = self.n_sas();
         // Compile each operator once per schema alternative: selection
-        // predicates, and direct per-tuple transform contexts for the
-        // structural operators (the schema-dependent parts of tuple flatten
-        // resolve here, not once per tuple as the singleton-bag path does).
+        // predicates, and the per-tuple kernels of the structural operators.
         let steps: Vec<FusedStep> = ops
             .iter()
             .map(|node| match &node.op {
@@ -363,19 +391,13 @@ impl<'a> Tracer<'a> {
                         })
                         .collect(),
                 ),
-                _ => FusedStep::Structural(
-                    (0..n)
-                        .map(|sa| StructuralCtx::compile(&self.effective_node(node, sa), self.db))
-                        .collect(),
-                ),
+                _ => FusedStep::Structural(self.compile_tuple_ops(node)),
             })
             .collect();
 
         // Morsel pass: tuple-major, operator-inner. Guard draws mirror the
-        // operator-at-a-time replay exactly — one checkpoint and one eval row
-        // per structural application to a valid variant (selections only
-        // annotate and draw nothing), and a failed draw makes the variant
-        // vanish under that alternative, as the singleton-bag path degrades.
+        // operator-at-a-time replay exactly (see [`apply_structural`];
+        // selections only annotate and draw nothing).
         let armed = whynot_guard::armed();
         type FusedRow = Vec<(Vec<Option<Tuple>>, Vec<SaFlags>)>;
         let chunks = columnar_chunks(child_trace.tuples.len());
@@ -403,18 +425,10 @@ impl<'a> Tracer<'a> {
                                         variants.push(variant.clone());
                                         *valid = *valid && variant.is_some();
                                     }
-                                    FusedStep::Structural(ctxs) => {
+                                    FusedStep::Structural(kernels) => {
                                         let transformed = match variant.as_ref() {
                                             Some(tuple) if *valid => {
-                                                let allowed = !armed
-                                                    || (whynot_guard::checkpoint().is_ok()
-                                                        && whynot_guard::consume_eval_rows(1)
-                                                            .is_ok());
-                                                if allowed {
-                                                    ctxs[sa].apply(tuple)
-                                                } else {
-                                                    None
-                                                }
+                                                apply_structural(&kernels[sa], tuple, armed)
                                             }
                                             _ => None,
                                         };
@@ -481,32 +495,30 @@ impl<'a> Tracer<'a> {
     fn trace_structural(&mut self, node: &OpNode) -> AlgebraResult<OpTrace> {
         let child = &node.inputs[0];
         let child_trace = self.take_trace(child.id);
-        let effective: Vec<OpNode> =
-            (0..self.n_sas()).map(|sa| self.effective_node(node, sa)).collect();
+        let kernels = self.compile_tuple_ops(node);
 
         // The per-tuple evaluation is the expensive part; fan it out and
         // assign the fresh ids in a serial pass so they match the serial
         // trace exactly.
-        let db = self.db;
+        let armed = whynot_guard::armed();
         let n = self.n_sas();
         type StructuralRow = (Vec<Option<Tuple>>, Vec<SaFlags>);
-        let computed: Vec<AlgebraResult<StructuralRow>> = par_map(&child_trace.tuples, |input| {
+        let computed: Vec<StructuralRow> = par_map(&child_trace.tuples, |input| {
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
-            for (sa, effective_node) in effective.iter().enumerate() {
+            for (sa, kernel) in kernels.iter().enumerate() {
                 let input_flags = input.flags(sa);
                 let transformed = match input.variant(sa) {
-                    Some(tuple) if input_flags.valid => apply_to_single(effective_node, tuple, db)?,
+                    Some(tuple) if input_flags.valid => apply_structural(kernel, tuple, armed),
                     _ => None,
                 };
                 flags.push(base_flags(transformed.as_ref(), input_flags.valid, true));
                 variants.push(transformed);
             }
-            Ok((variants, flags))
+            (variants, flags)
         });
         let mut tuples = Vec::with_capacity(child_trace.tuples.len());
-        for (input, row) in child_trace.tuples.iter().zip(computed) {
-            let (variants, flags) = row?;
+        for (input, (variants, flags)) in child_trace.tuples.iter().zip(computed) {
             tuples.push(TracedTuple::new(
                 self.fresh_id(),
                 variants,
@@ -583,41 +595,39 @@ impl<'a> Tracer<'a> {
         let child = &node.inputs[0];
         let child_schema = output_type(child, self.db)?;
         let child_trace = self.take_trace(child.id);
-
-        let (original_kind, alias) = match &node.op {
-            Operator::Flatten { kind, alias, .. } => (*kind, alias.clone()),
-            _ => unreachable!("trace_flatten called on non-flatten"),
-        };
-        // Per SA: the attribute actually flattened.
-        let attrs: Vec<String> = (0..self.n_sas())
-            .map(|sa| match self.sas[sa].effective_operator(node) {
-                Operator::Flatten { attr, .. } => attr,
-                _ => unreachable!(),
-            })
+        // Per SA: the flatten of the attribute actually flattened.
+        let kernels: Vec<FlattenOp> = self
+            .sas
+            .iter()
+            .map(|sa| FlattenOp::compile(&sa.effective_operator(node), &child_schema))
             .collect();
 
-        // Per input tuple and SA, the list of (tuple, retained) the outer
-        // flatten produces — computed in parallel, merged serially below.
-        let n = self.n_sas();
-        // Per SA, the `(tuple, retained)` rows one input produces.
+        // Per input tuple and SA, the `(tuple, retained)` rows the outer
+        // flatten produces — computed in parallel, merged serially below. A
+        // tuple without elements yields its padding row, which only an outer
+        // original keeps; a kernel error makes the variant vanish.
+        let outer_rows = |kernel: &FlattenOp, tuple: &Tuple| -> AlgebraResult<Vec<(Tuple, bool)>> {
+            let rows = kernel.elements(tuple)?;
+            if rows.is_empty() {
+                return Ok(vec![(kernel.padding(tuple)?, kernel.kind() == FlattenKind::Outer)]);
+            }
+            Ok(rows.into_iter().map(|(row, _mult)| (row, true)).collect())
+        };
         type FlattenRows = Vec<Vec<(Tuple, bool)>>;
-        let computed: Vec<AlgebraResult<FlattenRows>> = par_map(&child_trace.tuples, |input| {
-            let mut per_sa: FlattenRows = Vec::with_capacity(n);
-            for (sa, attr) in attrs.iter().enumerate() {
-                let input_flags = input.flags(sa);
-                let outputs = match input.variant(sa) {
-                    Some(tuple) if input_flags.valid => {
-                        flatten_one(tuple, attr, alias.as_deref(), original_kind, &child_schema)?
+        let computed: Vec<FlattenRows> = par_map(&child_trace.tuples, |input| {
+            kernels
+                .iter()
+                .enumerate()
+                .map(|(sa, kernel)| match input.variant(sa) {
+                    Some(tuple) if input.flags(sa).valid => {
+                        outer_rows(kernel, tuple).unwrap_or_default()
                     }
                     _ => Vec::new(),
-                };
-                per_sa.push(outputs);
-            }
-            Ok(per_sa)
+                })
+                .collect()
         });
         let mut tuples = Vec::new();
         for (input, per_sa) in child_trace.tuples.iter().zip(computed) {
-            let per_sa = per_sa?;
             let width = per_sa.iter().map(Vec::len).max().unwrap_or(0);
             for k in 0..width {
                 let id = self.fresh_id();
@@ -855,14 +865,9 @@ impl<'a> Tracer<'a> {
         #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
         type SaGroups = BTreeMap<Value, (Bag, Vec<u64>)>;
         let sas = self.sas;
-        let per_sa_groups: Vec<(SaGroups, String)> = par_map_range(0..n, |sa| {
+        let per_sa_groups: Vec<BTreeMap<Value, (Tuple, Vec<u64>)>> = par_map_range(0..n, |sa| {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let (attrs, into) = match sas[sa].effective_operator(node) {
-                Operator::RelationNest { attrs, into } => (attrs, into),
-                _ => unreachable!("trace_relation_nest called on non-nest"),
-            };
-            let attr_refs: Vec<nested_data::Sym> =
-                attrs.iter().map(|a| nested_data::Sym::intern(a)).collect();
+            let kernel = NestOp::compile(&sas[sa].effective_operator(node));
             #[allow(clippy::mutable_key_type)]
             let mut sa_groups: SaGroups = BTreeMap::new();
             for input in &child_trace.tuples {
@@ -870,54 +875,43 @@ impl<'a> Tracer<'a> {
                 if !input.flags(sa).valid {
                     continue;
                 }
-                let key = Value::from_tuple(tuple.without(&attr_refs));
+                let key = Value::from_tuple(kernel.key(tuple));
                 let entry = sa_groups.entry(key).or_insert_with(|| (Bag::new(), Vec::new()));
-                if let Ok(projected) = tuple.project(&attr_refs) {
-                    if projected.fields().iter().any(|(_, v)| !v.is_null()) {
-                        entry.0.insert(Value::from_tuple(projected), 1);
-                    }
+                if let Some(member) = kernel.member(tuple) {
+                    entry.0.insert(Value::from_tuple(member), 1);
                 }
                 if !entry.1.contains(&input.id) {
                     entry.1.push(input.id);
                 }
             }
-            (sa_groups, into)
+            sa_groups
+                .into_iter()
+                .map(|(key, (members, ids))| {
+                    let output = kernel.output(row_tuple(&key), members);
+                    (key, (output, ids))
+                })
+                .collect()
         });
 
         #[allow(clippy::mutable_key_type)]
         let mut groups: BTreeMap<Value, GroupSlot> = BTreeMap::new();
-        for (sa, (sa_groups, into)) in per_sa_groups.into_iter().enumerate() {
-            for (key, (bag, member_ids)) in sa_groups {
+        for (sa, sa_groups) in per_sa_groups.into_iter().enumerate() {
+            for (key, (output, member_ids)) in sa_groups {
                 let slot = groups.entry(key).or_insert_with(|| GroupSlot {
                     per_sa: vec![None; n],
                     member_ids: vec![Vec::new(); n],
                 });
-                slot.per_sa[sa] = Some((bag, into.clone()));
+                slot.per_sa[sa] = Some(output);
                 slot.member_ids[sa] = member_ids;
             }
         }
 
         let mut tuples = Vec::with_capacity(groups.len());
-        for (key, slot) in groups {
-            let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+        for slot in groups.into_values() {
             let id = self.fresh_id();
-            let mut variants = Vec::with_capacity(n);
-            let mut flags = Vec::with_capacity(n);
-            for sa in 0..n {
-                match &slot.per_sa[sa] {
-                    Some((bag, into)) => {
-                        let tuple =
-                            key_tuple.with_field(into.as_str(), Value::from_bag(bag.clone()));
-                        flags.push(base_flags(Some(&tuple), true, true));
-                        variants.push(Some(tuple));
-                    }
-                    None => {
-                        flags.push(SaFlags::absent());
-                        variants.push(None);
-                    }
-                }
-            }
-            tuples.push(TracedTuple::new(id, variants, flags, slot.member_ids));
+            let flags =
+                slot.per_sa.iter().map(|tuple| base_flags(tuple.as_ref(), true, true)).collect();
+            tuples.push(TracedTuple::new(id, slot.per_sa, flags, slot.member_ids));
         }
         self.put_trace(child_trace);
         Ok(OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples })
@@ -936,17 +930,14 @@ impl<'a> Tracer<'a> {
         // Like relation nesting: independent per-SA grouping passes in
         // parallel, merged over the union of group keys in SA order.
         #[allow(clippy::mutable_key_type)] // cached hashes don't affect `Ord`
-        type SaAggGroups = BTreeMap<Value, (AggGroupSa, Vec<u64>)>;
-        let sas = self.sas;
+        type SaAggGroups<'t> = BTreeMap<Value, (AggGroupSa<'t>, Vec<u64>)>;
+        let kernels: Vec<GroupAggOp> =
+            self.sas.iter().map(|sa| GroupAggOp::compile(&sa.effective_operator(node))).collect();
         let child_cols = self.columnar.get(&child.id).cloned();
-        let per_sa_groups: Vec<SaAggGroups> = par_map_range(0..n, |sa| {
+        let per_sa_groups: Vec<SaAggGroups<'_>> = par_map_range(0..n, |sa| {
             let _span = whynot_obs::span_dyn(|| format!("sa#{sa}"));
-            let (group_by, aggs) = match sas[sa].effective_operator(node) {
-                Operator::GroupAggregation { group_by, aggs } => (group_by, aggs),
-                _ => unreachable!("trace_group_aggregation called on non-aggregation"),
-            };
-            let group_refs: Vec<nested_data::Sym> =
-                group_by.iter().map(|a| nested_data::Sym::intern(a)).collect();
+            let kernel = &kernels[sa];
+            let group_refs = kernel.group_by();
             // Columnar group keys: when the child is a columnar passthrough
             // and every grouping attribute is one of its columns, the group
             // key of row `i` is assembled from dense typed columns instead of
@@ -956,7 +947,7 @@ impl<'a> Tracer<'a> {
                 group_refs.iter().map(|s| cols.column(*s)).collect()
             });
             #[allow(clippy::mutable_key_type)]
-            let mut sa_groups: SaAggGroups = BTreeMap::new();
+            let mut sa_groups: SaAggGroups<'_> = BTreeMap::new();
             for (i, input) in child_trace.tuples.iter().enumerate() {
                 let Some(tuple) = input.variant(sa) else { continue };
                 if !input.flags(sa).valid {
@@ -966,23 +957,12 @@ impl<'a> Tracer<'a> {
                     Some(cols) => Value::from_tuple(Tuple::new(
                         group_refs.iter().zip(cols.iter()).map(|(s, col)| (*s, col.value(i))),
                     )),
-                    None => Value::from_tuple(
-                        tuple.project(&group_refs).unwrap_or_else(|_| Tuple::empty()),
-                    ),
+                    None => Value::from_tuple(kernel.key(tuple)),
                 };
-                let (entry, member_ids) = sa_groups.entry(key).or_insert_with(|| {
-                    (
-                        AggGroupSa {
-                            aggs: aggs.clone(),
-                            all_members: Vec::new(),
-                            retained_members: Vec::new(),
-                        },
-                        Vec::new(),
-                    )
-                });
-                entry.all_members.push(tuple.clone());
+                let (entry, member_ids) = sa_groups.entry(key).or_default();
+                entry.all_members.push(tuple);
                 if input.flags(sa).retained {
-                    entry.retained_members.push(tuple.clone());
+                    entry.retained_members.push(tuple);
                 }
                 if !member_ids.contains(&input.id) {
                     member_ids.push(input.id);
@@ -993,7 +973,7 @@ impl<'a> Tracer<'a> {
 
         // See above: the cached structural hash does not affect ordering.
         #[allow(clippy::mutable_key_type)]
-        let mut groups: BTreeMap<Value, AggGroupSlot> = BTreeMap::new();
+        let mut groups: BTreeMap<Value, AggGroupSlot<'_>> = BTreeMap::new();
         for (sa, sa_groups) in per_sa_groups.into_iter().enumerate() {
             for (key, (group, member_ids)) in sa_groups {
                 let slot = groups.entry(key).or_insert_with(|| AggGroupSlot {
@@ -1008,19 +988,18 @@ impl<'a> Tracer<'a> {
         // The per-group aggregate evaluation is independent across groups;
         // fresh ids are assigned serially afterwards in key order, exactly
         // like the serial loop.
-        let group_list: Vec<(Value, AggGroupSlot)> = groups.into_iter().collect();
+        let group_list: Vec<(Value, AggGroupSlot<'_>)> = groups.into_iter().collect();
         type AggRow = (Vec<Option<Tuple>>, Vec<SaFlags>, Vec<Option<Tuple>>);
         let computed: Vec<AggRow> = par_map(&group_list, |(key, slot)| {
-            let key_tuple = key.as_tuple().cloned().unwrap_or_else(Tuple::empty);
+            let key_tuple = row_tuple(key);
             let mut variants = Vec::with_capacity(n);
             let mut flags = Vec::with_capacity(n);
             let mut fallbacks = Vec::with_capacity(n);
-            for sa in 0..n {
-                match &slot.per_sa[sa] {
+            for (kernel, group) in kernels.iter().zip(&slot.per_sa) {
+                match group {
                     Some(group) => {
-                        let relaxed = aggregate_tuple(&key_tuple, &group.aggs, &group.all_members);
-                        let retained_only =
-                            aggregate_tuple(&key_tuple, &group.aggs, &group.retained_members);
+                        let relaxed = kernel.aggregate(key_tuple, &group.all_members);
+                        let retained_only = kernel.aggregate(key_tuple, &group.retained_members);
                         // The original query would produce the group from the
                         // retained members only; the group survives if any
                         // member was retained. The retained-members aggregate
@@ -1113,18 +1092,20 @@ impl<'a> Tracer<'a> {
 }
 
 struct GroupSlot {
-    per_sa: Vec<Option<(Bag, String)>>,
+    per_sa: Vec<Option<Tuple>>,
     member_ids: Vec<Vec<u64>>,
 }
 
-struct AggGroupSa {
-    aggs: Vec<nrab_algebra::AggSpec>,
-    all_members: Vec<Tuple>,
-    retained_members: Vec<Tuple>,
+/// One group's members under one schema alternative: every valid member,
+/// and the members the preceding operator retained.
+#[derive(Default)]
+struct AggGroupSa<'t> {
+    all_members: Vec<&'t Tuple>,
+    retained_members: Vec<&'t Tuple>,
 }
 
-struct AggGroupSlot {
-    per_sa: Vec<Option<AggGroupSa>>,
+struct AggGroupSlot<'t> {
+    per_sa: Vec<Option<AggGroupSa<'t>>>,
     member_ids: Vec<Vec<u64>>,
 }
 
@@ -1224,16 +1205,7 @@ fn collect_subtree_ops(node: &OpNode, out: &mut std::collections::BTreeSet<OpId>
 /// grouped aggregation, union, and difference mix rows and always break a
 /// tracer pipeline.
 fn tracer_fusable(op: &Operator) -> bool {
-    matches!(
-        op,
-        Operator::Selection { .. }
-            | Operator::Projection { .. }
-            | Operator::Rename { .. }
-            | Operator::TupleFlatten { .. }
-            | Operator::TupleNest { .. }
-            | Operator::NestAggregation { .. }
-            | Operator::Dedup
-    )
+    matches!(op, Operator::Selection { .. }) || TupleOp::covers(op)
 }
 
 /// One operator of a fused tracer chain, compiled once per schema
@@ -1241,194 +1213,21 @@ fn tracer_fusable(op: &Operator) -> bool {
 enum FusedStep {
     /// Per-SA selection predicates (annotate-only: variants pass through).
     Select(Vec<Expr>),
-    /// Per-SA structural transform contexts.
-    Structural(Vec<StructuralCtx>),
+    /// Per-SA structural kernels.
+    Structural(Vec<AlgebraResult<TupleOp>>),
 }
 
-/// A structural 1:1 operator compiled to a direct per-tuple transform with
-/// the same semantics — including the same error-to-`None` degradation — as
-/// evaluating the operator over a singleton bag via [`apply_to_single`], but
-/// without the per-tuple bag construction, schema inference, and operator
-/// dispatch.
-enum StructuralCtx {
-    /// π: evaluate each output column against the input tuple.
-    Project { names: Vec<Sym>, columns: Vec<ProjColumn> },
-    /// ρ: rename attributes.
-    Rename { mapping: Vec<(Sym, Sym)> },
-    /// Fᵀ: splice (or alias) the tuple value at `source` into the row.
-    TupleFlatten { source: AttrPath, alias: Option<Sym>, source_ty: Option<NestedType> },
-    /// νᵀ: fold `attrs` into the nested tuple `into`.
-    TupleNest { attrs: Vec<Sym>, into: Sym },
-    /// γᵀ: aggregate the nested collection at `attr` into `output`.
-    NestAgg { func: AggFunc, attr: Sym, field: Option<Sym>, output: Sym },
-    /// δ: identity on a single variant.
-    Dedup,
-    /// The operator fails outright under this alternative (e.g. a tuple
-    /// flatten whose input schema does not infer): every variant maps to
-    /// `None`, exactly as the singleton-bag path degrades.
-    Broken,
-}
-
-impl StructuralCtx {
-    fn compile(node: &OpNode, db: &Database) -> StructuralCtx {
-        match &node.op {
-            Operator::Projection { columns } => StructuralCtx::Project {
-                names: columns.iter().map(|c| Sym::intern(&c.name)).collect(),
-                columns: columns.clone(),
-            },
-            Operator::Rename { pairs } => StructuralCtx::Rename {
-                mapping: pairs.iter().map(|p| (Sym::intern(&p.from), Sym::intern(&p.to))).collect(),
-            },
-            Operator::TupleFlatten { source, alias } => match output_type(&node.inputs[0], db) {
-                Ok(schema) => StructuralCtx::TupleFlatten {
-                    source_ty: schema.resolve_path(source).ok().cloned(),
-                    source: source.clone(),
-                    alias: alias.as_deref().map(Sym::intern),
-                },
-                Err(_) => StructuralCtx::Broken,
-            },
-            Operator::TupleNest { attrs, into } => StructuralCtx::TupleNest {
-                attrs: attrs.iter().map(|a| Sym::intern(a)).collect(),
-                into: Sym::intern(into),
-            },
-            Operator::NestAggregation { func, attr, field, output } => StructuralCtx::NestAgg {
-                func: *func,
-                attr: Sym::intern(attr),
-                field: field.as_deref().map(Sym::intern),
-                output: Sym::intern(output),
-            },
-            Operator::Dedup => StructuralCtx::Dedup,
-            _ => unreachable!("non-structural operator in a fused tracer chain"),
-        }
+/// Applies a structural kernel to one valid variant. Each application draws
+/// one checkpoint and one eval row from an armed guard, in the fused and the
+/// operator-at-a-time replay alike; a failed draw, a kernel that did not
+/// compile, or a kernel error makes the variant vanish (`None`) under the
+/// alternative.
+fn apply_structural(kernel: &AlgebraResult<TupleOp>, tuple: &Tuple, armed: bool) -> Option<Tuple> {
+    if armed && (whynot_guard::checkpoint().is_err() || whynot_guard::consume_eval_rows(1).is_err())
+    {
+        return None;
     }
-
-    /// Applies the transform to one valid variant; `None` means the tuple
-    /// does not exist under the alternative (a transform error).
-    fn apply(&self, tuple: &Tuple) -> Option<Tuple> {
-        match self {
-            StructuralCtx::Project { names, columns } => Some(Tuple::new(
-                names.iter().zip(columns.iter()).map(|(name, c)| (*name, c.expr.eval(tuple))),
-            )),
-            StructuralCtx::Rename { mapping } => Some(tuple.rename(mapping)),
-            StructuralCtx::TupleFlatten { source, alias, source_ty } => {
-                let extracted = tuple.get_path(source).unwrap_or(Value::Null);
-                match alias {
-                    Some(alias) => Some(tuple.with_field(*alias, extracted)),
-                    None => match extracted {
-                        Value::Tuple(inner) => tuple.concat(&inner).ok(),
-                        Value::Null => match source_ty {
-                            Some(NestedType::Tuple(t)) => {
-                                let names: Vec<Sym> = t.attribute_syms().collect();
-                                tuple.concat(&Tuple::null_padded(&names)).ok()
-                            }
-                            _ => Some(tuple.clone()),
-                        },
-                        // A non-tuple value at `source` is an evaluation
-                        // error without an alias; the variant vanishes.
-                        _ => None,
-                    },
-                }
-            }
-            StructuralCtx::TupleNest { attrs, into } => {
-                let nested = tuple.project(attrs).unwrap_or_else(|_| Tuple::empty());
-                Some(tuple.without(attrs).with_field(*into, Value::from_tuple(nested)))
-            }
-            StructuralCtx::NestAgg { func, attr, field, output } => {
-                let nested = tuple.get(*attr).cloned().unwrap_or(Value::Null);
-                let values: Vec<Value> = match &nested {
-                    Value::Bag(b) => b
-                        .iter_expanded()
-                        .map(|element| match field {
-                            Some(f) => element
-                                .as_tuple()
-                                .and_then(|t| t.get(*f).cloned())
-                                .unwrap_or(Value::Null),
-                            None => element.clone(),
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                let aggregated = func.apply(values.iter());
-                let aggregated = match (&aggregated, func) {
-                    // count over an empty / null collection is 0, not ⊥
-                    (Value::Null, AggFunc::Count | AggFunc::CountDistinct) => Value::Int(0),
-                    _ => aggregated,
-                };
-                Some(tuple.with_field(*output, aggregated))
-            }
-            StructuralCtx::Dedup => Some(tuple.clone()),
-            StructuralCtx::Broken => None,
-        }
-    }
-}
-
-fn aggregate_tuple(key: &Tuple, aggs: &[nrab_algebra::AggSpec], members: &[Tuple]) -> Tuple {
-    let mut result = key.clone();
-    for agg in aggs {
-        let values: Vec<Value> = members.iter().map(|t| agg.input.eval(t)).collect();
-        let mut value = agg.func.apply(values.iter());
-        if value.is_null() && agg.func.always_int() {
-            value = Value::Int(0);
-        }
-        result = result.with_field(agg.output.clone(), value);
-    }
-    result
-}
-
-/// Applies a 1:1 structural operator to a single tuple by evaluating it over a
-/// singleton bag, reusing the evaluator's semantics.
-fn apply_to_single(node: &OpNode, tuple: &Tuple, db: &Database) -> AlgebraResult<Option<Tuple>> {
-    let singleton = Bag::from_values([Value::from_tuple(tuple.clone())]);
-    let inputs = vec![std::sync::Arc::new(singleton)];
-    match apply_operator(node, &inputs, db) {
-        Ok(result) => Ok(result.iter().next().and_then(|(v, _)| v.as_tuple().cloned())),
-        // A structural operator can fail under an alternative (e.g. a
-        // substituted attribute is absent); the tuple then simply does not
-        // exist under that alternative.
-        Err(_) => Ok(None),
-    }
-}
-
-/// The outputs of an (outer-generalized) relation flatten for one input tuple:
-/// `(output tuple, retained by the original flatten kind)`.
-fn flatten_one(
-    tuple: &Tuple,
-    attr: &str,
-    alias: Option<&str>,
-    original_kind: FlattenKind,
-    child_schema: &TupleType,
-) -> AlgebraResult<Vec<(Tuple, bool)>> {
-    let nested = tuple.get(attr).cloned().unwrap_or(Value::Null);
-    let elements: Vec<(Value, u64)> = match &nested {
-        Value::Bag(b) => b.iter().cloned().collect(),
-        _ => Vec::new(),
-    };
-    if elements.is_empty() {
-        // Outer-flatten padding; the original inner flatten would drop it.
-        let padded = match alias {
-            Some(alias) => tuple.with_field(alias, Value::Null),
-            None => {
-                let names: Vec<nested_data::Sym> = match child_schema.attribute(attr) {
-                    Some(NestedType::Relation(t)) => t.attribute_syms().collect(),
-                    _ => Vec::new(),
-                };
-                tuple.concat(&Tuple::null_padded(&names))?
-            }
-        };
-        return Ok(vec![(padded, original_kind == FlattenKind::Outer)]);
-    }
-    let mut out = Vec::with_capacity(elements.len());
-    for (element, _mult) in elements {
-        let combined = match alias {
-            Some(alias) => tuple.with_field(alias, element),
-            None => match element {
-                Value::Tuple(inner) => tuple.concat(&inner)?,
-                other => tuple.with_field(format!("{attr}_value"), other),
-            },
-        };
-        out.push((combined, true));
-    }
-    Ok(out)
+    kernel.as_ref().ok()?.apply(tuple).ok()
 }
 
 /// Matches a NIP against a tuple without cloning it into a `Value`.
@@ -1447,7 +1246,7 @@ fn nip_matches_tuple(nip: &Nip, tuple: &Tuple) -> bool {
 mod tests {
     use super::*;
     use crate::alternative::OpSubstitution;
-    use nested_data::NipCmp;
+    use nested_data::{NestedType, NipCmp, TupleType};
     use nrab_algebra::expr::CmpOp;
     use nrab_algebra::PlanBuilder;
 

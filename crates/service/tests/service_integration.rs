@@ -105,11 +105,13 @@ fn batched_service_answers_match_direct_engine_calls_and_hit_the_cache() {
         }
     }
 
-    // The first question traced; the second (identical) and third (different
-    // NIP, same generalized trace) hit the cache.
+    // All three questions share one generalized trace. The batch fans out in
+    // parallel, so any one of them may be the request that traced; exactly
+    // one misses and the other two hit the cache.
     let hits: Vec<bool> =
         responses.iter().map(|r| r.as_ref().unwrap().stats.trace_cache_hit).collect();
-    assert_eq!(hits, vec![false, true, true]);
+    assert_eq!(hits.iter().filter(|hit| !**hit).count(), 1, "exactly one miss: {hits:?}");
+    assert_eq!(hits.iter().filter(|hit| **hit).count(), 2, "exactly two hits: {hits:?}");
     let stats = service.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
 }
