@@ -6,10 +6,10 @@ Usage: validate_bench.py [REPORT [BASELINE]] [--profile FILE]
 REPORT (default BENCH_figures.json) is the freshly measured report.
 BASELINE, when given, is the *committed* report snapshotted before the bench
 run; the perf-regression gate compares the re-measured `value_layer`,
-`columnar`, `join`, and `pipeline` groups against it and fails on a >2x
-slowdown of any case, and holds the `whynot-loadgen` `service` group to its
-SLO figures
-(p95 latency <= 2x baseline, throughput >= half of baseline).
+`columnar`, and `join` groups and the whole-plan DBLP D4 trace cases of the
+`parallel` group against it and fails on a >2x slowdown of any case, and
+holds the `whynot-loadgen` `service` group to its SLO figures (p95 latency
+<= 2x baseline, throughput >= half of baseline).
 
 --profile FILE, when given, is a profile report exported by
 `whynot ... --profile-out FILE`; it is validated against the ProfileReport
@@ -90,7 +90,6 @@ def main():
         "parallel",
         "columnar",
         "join",
-        "pipeline",
         "obs",
         "guard",
         "service",
@@ -188,40 +187,6 @@ def main():
     print(
         f"equi_trace: {trace_loop:.3f} ms nested loop / {trace_hash:.3f} ms hash "
         f"= {trace_speedup:.2f}x (informational)"
-    )
-
-    # Bloom-probe gate: the split-block bloom filter in front of the hash
-    # probe must never make the highly selective equi join slower. The two
-    # sides are the same workload measured in the same process with the
-    # filter toggled, so a no-regression bound (<= 1.10x) holds regardless
-    # of core count; the byte-identity of the matches is asserted inside the
-    # bench itself.
-    for case in ("bloom_join/filtered", "bloom_join/unfiltered"):
-        assert case in join, f"join group lacks {case}: {sorted(join)}"
-    bloom_ms = join["bloom_join/filtered"]["min_ms"]
-    nobloom_ms = join["bloom_join/unfiltered"]["min_ms"]
-    bloom_ratio = bloom_ms / nobloom_ms if nobloom_ms > 0 else float("inf")
-    print(
-        f"bloom_join: {bloom_ms:.3f} ms filtered / {nobloom_ms:.3f} ms unfiltered "
-        f"= {bloom_ratio:.3f}x"
-    )
-    assert bloom_ratio <= 1.10, (
-        f"bloom_join: filtered probe costs {bloom_ratio:.3f}x of the "
-        f"unfiltered probe (> 1.10x) on a highly selective join"
-    )
-
-    # Tracer fusion: the DBLP D4 whole-plan trace, fused and operator at a
-    # time. Byte identity of the two traces is asserted inside the bench
-    # itself on every machine; the ratio is reported for information.
-    pipeline = cases("pipeline")
-    for case in ("dblp_d4/fused", "dblp_d4/materialized"):
-        assert case in pipeline, f"pipeline group lacks {case}: {sorted(pipeline)}"
-    d4_fused = pipeline["dblp_d4/fused"]["min_ms"]
-    d4_mat = pipeline["dblp_d4/materialized"]["min_ms"]
-    d4_speedup = d4_mat / d4_fused if d4_fused > 0 else float("inf")
-    print(
-        f"pipeline dblp_d4: {d4_mat:.3f} ms materialized / {d4_fused:.3f} ms fused "
-        f"= {d4_speedup:.2f}x (informational)"
     )
 
     # Instrumentation-overhead gate: the `obs` group re-measures the committed
@@ -409,9 +374,9 @@ def main():
         )
     )
 
-    # Perf-regression gate: the re-measured value_layer, columnar, join, and
-    # pipeline groups must not be more than 2x slower than the committed
-    # baseline.
+    # Perf-regression gate: the re-measured value_layer, columnar, and join
+    # groups and the whole-plan DBLP D4 trace must not be more than 2x slower
+    # than the committed baseline.
     # The service group joins the gate on its SLO figures: p95 latency may
     # not exceed 2x the committed baseline, throughput may not fall below
     # half of it. Absolute times only transfer between comparable machines,
@@ -424,21 +389,23 @@ def main():
         }
         if cpus >= 4:
             failures = []
-            for group_name in ("value_layer", "columnar", "join", "pipeline"):
-                for case_name, case in cases(group_name).items():
-                    base = baseline_cases.get(group_name, {}).get(case_name)
-                    if base is None:
-                        print(f"NOTICE: {group_name}/{case_name} has no baseline; skipped")
-                        continue
-                    ratio = case["min_ms"] / base["min_ms"] if base["min_ms"] > 0 else 0.0
-                    print(
-                        f"{group_name}/{case_name}: baseline {base['min_ms']:.3f} ms, "
-                        f"measured {case['min_ms']:.3f} ms ({ratio:.2f}x)"
+            gated = [(g, c) for g in ("value_layer", "columnar", "join") for c in cases(g)]
+            gated += [("parallel", f"dblp_d4_trace/threads{n}") for n in (1, 4)]
+            for group_name, case_name in gated:
+                case = cases(group_name)[case_name]
+                base = baseline_cases.get(group_name, {}).get(case_name)
+                if base is None:
+                    print(f"NOTICE: {group_name}/{case_name} has no baseline; skipped")
+                    continue
+                ratio = case["min_ms"] / base["min_ms"] if base["min_ms"] > 0 else 0.0
+                print(
+                    f"{group_name}/{case_name}: baseline {base['min_ms']:.3f} ms, "
+                    f"measured {case['min_ms']:.3f} ms ({ratio:.2f}x)"
+                )
+                if ratio > 2.0:
+                    failures.append(
+                        f"{group_name}/{case_name} slowed down {ratio:.2f}x (> 2x)"
                     )
-                    if ratio > 2.0:
-                        failures.append(
-                            f"{group_name}/{case_name} slowed down {ratio:.2f}x (> 2x)"
-                        )
             service_gate = [
                 # (case, higher-is-worse) — p95 gates latency, throughput
                 # gates capacity (inverted ratio: baseline / measured).

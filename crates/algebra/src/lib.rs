@@ -46,7 +46,7 @@ pub use database::Database;
 pub use error::{AlgebraError, AlgebraResult};
 pub use eval::evaluate;
 pub use expr::{CmpOp, Expr};
-pub use join::{with_bloom_filter, with_hash_join, JoinMatches, JoinSide};
+pub use join::{with_hash_join, JoinMatches, JoinSide};
 pub use operator::{AggSpec, FlattenKind, JoinKind, Operator, ProjColumn, RenamePair};
 pub use params::{OperatorParams, ParamChange, Reparameterization};
 pub use plan::{OpId, OpNode, QueryPlan};

@@ -47,19 +47,6 @@ enum Kernel {
 }
 
 impl TupleOp {
-    /// Whether `op` is one of the 1:1 operators this kernel covers.
-    pub fn covers(op: &Operator) -> bool {
-        matches!(
-            op,
-            Operator::Projection { .. }
-                | Operator::Rename { .. }
-                | Operator::TupleFlatten { .. }
-                | Operator::TupleNest { .. }
-                | Operator::NestAggregation { .. }
-                | Operator::Dedup
-        )
-    }
-
     /// Compiles `op`, whose input is the plan node `input`. Only Fᵀ infers
     /// the input schema; that inference is the one way compiling can fail.
     ///

@@ -571,83 +571,6 @@ pub fn join_group() {
         trace_plan_generalized(&trace_plan, &trace_db, &sas).expect("hash trace")
     });
 
-    // The highly selective probe the bloom filter exists for: 12000 fact
-    // rows whose keys span 0..9600, joined against 600 dim keys — 15 of 16
-    // probes miss, and with the filter they skip the bucket lookup
-    // entirely. Byte-identity first, as for every other knob.
-    let selective_db = join_db(12_000, 600, 9_600);
-    let filtered = evaluate(&equi_plan, &selective_db).expect("filtered eval");
-    let unfiltered = nrab_algebra::with_bloom_filter(false, || {
-        evaluate(&equi_plan, &selective_db).expect("unfiltered eval")
-    });
-    assert!(
-        filtered == unfiltered,
-        "bloom-filtered probes must be byte-identical to unfiltered ones"
-    );
-    assert!(!filtered.is_empty(), "the selective join must still produce rows");
-    group.bench("bloom_join/filtered", || evaluate(&equi_plan, &selective_db).expect("filtered"));
-    group.bench("bloom_join/unfiltered", || {
-        nrab_algebra::with_bloom_filter(false, || {
-            evaluate(&equi_plan, &selective_db).expect("unfiltered")
-        })
-    });
-
-    group.finish();
-}
-
-/// The `pipeline` microbench group: the tracer's fused replay of 1:1
-/// operator chains against the operator-at-a-time replay it fuses.
-///
-/// * `dblp_d4/*` — the whole-plan generalized trace of DBLP D4 (multi-SA),
-///   whose flatten→project and select→select→project runs dominate the
-///   trace; the fused replay threads each tuple through a whole run per
-///   morsel instead of materializing every operator's trace.
-///
-/// Before measuring, the group *asserts* byte-identity: the fused trace must
-/// equal the `with_pipelining(false)` one — tracer fusion is a pure
-/// performance knob, like threads, the columnar layout, and the hash join.
-pub fn pipeline_group() {
-    use nrab_provenance::with_pipelining;
-    use whynot_core::alternatives::enumerate_schema_alternatives;
-    use whynot_core::backtrace::schema_backtrace;
-
-    let mut group = BenchGroup::new("pipeline");
-
-    // The whole-plan DBLP D4 generalized trace — the workload behind the
-    // committed `value_layer` and `parallel` baselines.
-    let scenario = whynot_scenarios::dblp::d4(300);
-    let backtrace = schema_backtrace(&scenario.plan, &scenario.db, &scenario.why_not)
-        .expect("backtrace succeeds");
-    let sas = enumerate_schema_alternatives(
-        &scenario.plan,
-        &scenario.db,
-        &scenario.why_not,
-        &backtrace,
-        &scenario.alternatives,
-        64,
-    )
-    .expect("alternatives enumerate");
-    let fused_trace = nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-        .expect("fused trace");
-    let materialized_trace = with_pipelining(false, || {
-        nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-            .expect("materialized trace")
-    });
-    assert!(
-        fused_trace == materialized_trace,
-        "the fused trace must be bit-identical to the operator-at-a-time replay"
-    );
-    group.bench("dblp_d4/fused", || {
-        nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-            .expect("fused trace")
-    });
-    group.bench("dblp_d4/materialized", || {
-        with_pipelining(false, || {
-            nrab_provenance::trace_plan_generalized(&scenario.plan, &scenario.db, &sas)
-                .expect("materialized trace")
-        })
-    });
-
     group.finish();
 }
 

@@ -214,13 +214,18 @@ impl TimeSeries {
         self.capacity.max(1)
     }
 
-    /// Appends a point, evicting the oldest when full.
+    /// Adds a point in time order, evicting the oldest when full.
+    ///
+    /// Samplers stamp a point before they take the ring's lock, so a
+    /// concurrent sampler can arrive with an earlier timestamp than the
+    /// newest retained point; it is inserted at its place in time.
     pub fn push(&self, point: SamplePoint) {
         let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        while points.len() >= self.capacity() {
+        let at = points.partition_point(|p| p.at_ns <= point.at_ns);
+        points.insert(at, point);
+        while points.len() > self.capacity() {
             points.pop_front();
         }
-        points.push_back(point);
     }
 
     /// The retained points, oldest first.
@@ -313,6 +318,16 @@ mod tests {
         assert_eq!(points.iter().map(|p| p.at_ns).collect::<Vec<_>>(), vec![2, 3, 4]);
         series.clear();
         assert!(series.is_empty());
+    }
+
+    #[test]
+    fn time_series_keeps_late_points_in_time_order() {
+        let series = TimeSeries::new(3);
+        for at_ns in [10, 30, 20, 40, 5] {
+            series.push(SamplePoint { at_ns, ..SamplePoint::default() });
+        }
+        let points = series.snapshot();
+        assert_eq!(points.iter().map(|p| p.at_ns).collect::<Vec<_>>(), vec![20, 30, 40]);
     }
 
     #[test]

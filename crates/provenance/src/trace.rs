@@ -24,12 +24,11 @@
 //! to the serial one at any `WHYNOT_THREADS` (the cross-crate determinism
 //! tests enforce this).
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nested_data::{Bag, Column, ColumnarBag, Nip, Tuple, Value};
-use nrab_algebra::eval::{columnar_chunks, columnar_mask};
+use nrab_algebra::eval::columnar_mask;
 use nrab_algebra::expr::Expr;
 use nrab_algebra::join::{
     hash_join_enabled, join_matches_probe, join_matches_with, split_equi_join, EquiJoin, JoinBuild,
@@ -44,34 +43,6 @@ use whynot_exec::{par_map, par_map_range};
 
 use crate::alternative::SchemaAlternative;
 use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
-
-thread_local! {
-    /// Thread-local tracer fusion flag (default: enabled). See
-    /// [`with_pipelining`].
-    static PIPELINING_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Runs `f` with the tracer's fused replay of 1:1 operator chains enabled or
-/// disabled on the current thread, restoring the previous setting afterwards
-/// (also on panic).
-///
-/// Disabling traces every operator on its own. That operator-at-a-time
-/// replay is the reference the pipeline equivalence tests and the `pipeline`
-/// bench group compare the fused replay against; the trace is identical
-/// either way. The flag is read on the calling thread before any fan-out.
-pub fn with_pipelining<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore {
-        previous: bool,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.previous;
-            PIPELINING_ENABLED.with(|c| c.set(previous));
-        }
-    }
-    let _restore = Restore { previous: PIPELINING_ENABLED.with(|c| c.replace(enabled)) };
-    f()
-}
 
 /// Traces a plan over a database under the given schema alternatives.
 ///
@@ -274,25 +245,6 @@ impl<'a> Tracer<'a> {
     }
 
     fn trace_node(&mut self, node: &OpNode) -> AlgebraResult<()> {
-        // Pipelined replay: a maximal run of 1:1 operators (selections and
-        // structural transforms) ending at `node` is traced as one fused
-        // morsel-driven pass over its source instead of one full per-op
-        // replay each. The flag is read here, on the calling thread, before
-        // any fan-out — pool workers only execute morsels of an
-        // already-compiled chain.
-        if PIPELINING_ENABLED.with(Cell::get) {
-            let mut chain: Vec<&OpNode> = Vec::new();
-            let mut cur = node;
-            while tracer_fusable(&cur.op) {
-                chain.push(cur);
-                cur = &cur.inputs[0];
-            }
-            if !chain.is_empty() {
-                self.trace_node(cur)?;
-                chain.reverse(); // collected sink-to-source; replay wants source-to-sink
-                return self.trace_chain(&chain, cur.id);
-            }
-        }
         for input in &node.inputs {
             self.trace_node(input)?;
         }
@@ -301,8 +253,6 @@ impl<'a> Tracer<'a> {
 
     /// Traces one operator whose children are already traced, with the
     /// per-operator bookkeeping (trace-tuple budget, observability counters).
-    /// Shared by the operator-at-a-time recursion and the chain peeling of
-    /// [`Self::trace_chain`].
     fn trace_op(&mut self, node: &OpNode) -> AlgebraResult<()> {
         let _span = whynot_obs::span_dyn(|| format!("trace:{}#{}", node.op.kind_name(), node.id));
         let trace = match &node.op {
@@ -326,149 +276,6 @@ impl<'a> Tracer<'a> {
             .map_err(AlgebraError::from)?;
         record_trace_counters(&trace);
         self.put_trace(trace);
-        Ok(())
-    }
-
-    /// Traces a maximal fused run of 1:1 operators (`ops`, in source-to-sink
-    /// order) whose source operator is already traced.
-    ///
-    /// Selections at the bottom of the run that still see a columnar
-    /// passthrough are peeled off to the mask-based [`Self::trace_selection`]
-    /// path first — column-at-a-time predicate masks with cross-SA dedup beat
-    /// per-row predicate evaluation, and a transforming operator above would
-    /// end the passthrough anyway. Everything remaining replays as one
-    /// morsel-driven pass in [`Self::trace_fused`].
-    fn trace_chain(&mut self, ops: &[&OpNode], source: OpId) -> AlgebraResult<()> {
-        let mut ops = ops;
-        let mut child = source;
-        while let Some((first, rest)) = ops.split_first() {
-            if matches!(first.op, Operator::Selection { .. }) && self.columnar.contains_key(&child)
-            {
-                self.trace_op(first)?;
-                child = first.id;
-                ops = rest;
-            } else {
-                break;
-            }
-        }
-        if ops.is_empty() {
-            return Ok(());
-        }
-        self.trace_fused(ops)
-    }
-
-    /// Replays a fused run of selections and structural operators as one
-    /// morsel-driven pass over the child's traced tuples: each ~1024-row
-    /// morsel threads every tuple's per-SA variants through the whole chain
-    /// on one worker, keeping them hot instead of materializing each
-    /// operator's full trace before the next starts. Per-operator traces are
-    /// then reassembled serially in chain order, so fresh ids, lineage,
-    /// budget draws, and flags are bit-identical to the operator-at-a-time
-    /// replay at any thread count.
-    fn trace_fused(&mut self, ops: &[&OpNode]) -> AlgebraResult<()> {
-        let _span = whynot_obs::span_dyn(|| {
-            let (first, last) = (ops[0], ops[ops.len() - 1]);
-            format!(
-                "pipe:{}#{}..{}#{}",
-                first.op.kind_name(),
-                first.id,
-                last.op.kind_name(),
-                last.id
-            )
-        });
-        let child_trace = self.take_trace(ops[0].inputs[0].id);
-        let n = self.n_sas();
-        // Compile each operator once per schema alternative: selection
-        // predicates, and the per-tuple kernels of the structural operators.
-        let steps: Vec<FusedStep> = ops
-            .iter()
-            .map(|node| match &node.op {
-                Operator::Selection { .. } => FusedStep::Select(
-                    (0..n)
-                        .map(|sa| match self.sas[sa].effective_operator(node) {
-                            Operator::Selection { predicate } => predicate,
-                            _ => Expr::lit(true),
-                        })
-                        .collect(),
-                ),
-                _ => FusedStep::Structural(self.compile_tuple_ops(node)),
-            })
-            .collect();
-
-        // Morsel pass: tuple-major, operator-inner. Guard draws mirror the
-        // operator-at-a-time replay exactly (see [`apply_structural`];
-        // selections only annotate and draw nothing).
-        let armed = whynot_guard::armed();
-        type FusedRow = Vec<(Vec<Option<Tuple>>, Vec<SaFlags>)>;
-        let chunks = columnar_chunks(child_trace.tuples.len());
-        let per_morsel: Vec<Vec<FusedRow>> = par_map(&chunks, |range| {
-            whynot_guard::enforce();
-            child_trace.tuples[range.clone()]
-                .iter()
-                .map(|input| {
-                    let mut state: Vec<(Option<Tuple>, bool)> = (0..n)
-                        .map(|sa| (input.variant(sa).cloned(), input.flags(sa).valid))
-                        .collect();
-                    steps
-                        .iter()
-                        .map(|step| {
-                            let mut variants = Vec::with_capacity(n);
-                            let mut flags = Vec::with_capacity(n);
-                            for (sa, (variant, valid)) in state.iter_mut().enumerate() {
-                                match step {
-                                    FusedStep::Select(predicates) => {
-                                        let retained = variant
-                                            .as_ref()
-                                            .map(|t| *valid && predicates[sa].eval_bool(t))
-                                            .unwrap_or(false);
-                                        flags.push(base_flags(variant.as_ref(), *valid, retained));
-                                        variants.push(variant.clone());
-                                        *valid = *valid && variant.is_some();
-                                    }
-                                    FusedStep::Structural(kernels) => {
-                                        let transformed = match variant.as_ref() {
-                                            Some(tuple) if *valid => {
-                                                apply_structural(&kernels[sa], tuple, armed)
-                                            }
-                                            _ => None,
-                                        };
-                                        flags.push(base_flags(transformed.as_ref(), *valid, true));
-                                        *valid = transformed.is_some();
-                                        variants.push(transformed.clone());
-                                        *variant = transformed;
-                                    }
-                                }
-                            }
-                            (variants, flags)
-                        })
-                        .collect()
-                })
-                .collect()
-        });
-
-        // Serial reassembly, operator by operator in chain order: fresh ids,
-        // lineage to the previous stage, trace-tuple budget draws, and
-        // per-operator observability counters — all exactly as the unfused
-        // post-order recursion would have produced them.
-        let mut rows: Vec<FusedRow> = per_morsel.into_iter().flatten().collect();
-        let mut prev_ids: Vec<u64> = child_trace.tuples.iter().map(|t| t.id).collect();
-        for (k, node) in ops.iter().enumerate() {
-            let mut tuples = Vec::with_capacity(rows.len());
-            let mut ids = Vec::with_capacity(rows.len());
-            for (row, prev) in rows.iter_mut().zip(&prev_ids) {
-                let (variants, flags) = std::mem::take(&mut row[k]);
-                let id = self.fresh_id();
-                ids.push(id);
-                tuples.push(TracedTuple::new(id, variants, flags, vec![vec![*prev]; n]));
-            }
-            prev_ids = ids;
-            let trace = OpTrace { op: node.id, kind: node.op.kind_name().to_string(), tuples };
-            whynot_guard::consume_trace_tuples(trace.tuples.len() as u64)
-                .map_err(AlgebraError::from)?;
-            record_trace_counters(&trace);
-            self.put_trace(trace);
-        }
-        self.put_trace(child_trace);
         Ok(())
     }
 
@@ -1171,8 +978,7 @@ fn base_flags(variant: Option<&Tuple>, input_valid: bool, retained: bool) -> SaF
 }
 
 /// Records the per-operator trace counters when a profiling session is
-/// active. Shared by the operator-at-a-time recursion and the fused replay so
-/// counter totals are identical either way.
+/// active.
 fn record_trace_counters(trace: &OpTrace) {
     if !whynot_obs::enabled() {
         return;
@@ -1198,30 +1004,10 @@ fn collect_subtree_ops(node: &OpNode, out: &mut std::collections::BTreeSet<OpId>
     }
 }
 
-/// Operators the tracer can fuse into one morsel-driven replay: the 1:1
-/// operators whose trace row `i` depends only on row `i` of their child —
-/// selections (which annotate without transforming) and the structural
-/// transforms. Joins, cross products, relation flatten, relation nest,
-/// grouped aggregation, union, and difference mix rows and always break a
-/// tracer pipeline.
-fn tracer_fusable(op: &Operator) -> bool {
-    matches!(op, Operator::Selection { .. }) || TupleOp::covers(op)
-}
-
-/// One operator of a fused tracer chain, compiled once per schema
-/// alternative before the morsel pass.
-enum FusedStep {
-    /// Per-SA selection predicates (annotate-only: variants pass through).
-    Select(Vec<Expr>),
-    /// Per-SA structural kernels.
-    Structural(Vec<AlgebraResult<TupleOp>>),
-}
-
 /// Applies a structural kernel to one valid variant. Each application draws
-/// one checkpoint and one eval row from an armed guard, in the fused and the
-/// operator-at-a-time replay alike; a failed draw, a kernel that did not
-/// compile, or a kernel error makes the variant vanish (`None`) under the
-/// alternative.
+/// one checkpoint and one eval row from an armed guard; a failed draw, a
+/// kernel that did not compile, or a kernel error makes the variant vanish
+/// (`None`) under the alternative.
 fn apply_structural(kernel: &AlgebraResult<TupleOp>, tuple: &Tuple, armed: bool) -> Option<Tuple> {
     if armed && (whynot_guard::checkpoint().is_err() || whynot_guard::consume_eval_rows(1).is_err())
     {
