@@ -52,7 +52,8 @@ impl TupleOp {
     ///
     /// # Panics
     ///
-    /// If `op` is not [covered](Self::covers).
+    /// If `op` is not a tuple-at-a-time operator (π, ρ, Fᵀ, Nᵀ, per-tuple
+    /// aggregation or δ).
     pub fn compile(op: &Operator, input: &OpNode, db: &Database) -> AlgebraResult<TupleOp> {
         Ok(TupleOp(match op {
             Operator::Projection { columns } => Kernel::Project {

@@ -41,8 +41,8 @@ pub fn lineage_context(
     let mut compatibles = Vec::new();
     for (table_op, _table, _nip) in &backtrace.table_nips {
         if let Some(table_trace) = trace.trace(*table_op) {
-            for tuple in &table_trace.tuples {
-                if tuple.flags(0).consistent {
+            for (index, tuple) in table_trace.tuples.iter().enumerate() {
+                if trace.consistent(*table_op, index, 0) {
                     compatibles.push((*table_op, tuple.id));
                 }
             }
@@ -92,10 +92,11 @@ pub fn picky_operators(
             continue;
         }
         let Some(op_trace) = context.trace.trace(*op_id) else { continue };
-        let derived: Vec<&nrab_provenance::TracedTuple> = op_trace
+        let derived: Vec<(usize, &nrab_provenance::TracedTuple)> = op_trace
             .tuples
             .iter()
-            .filter(|t| t.flags(0).valid && t.input_ids(0).iter().any(|id| live.contains(id)))
+            .enumerate()
+            .filter(|(_, t)| t.flags(0).valid && t.input_ids(0).iter().any(|id| live.contains(id)))
             .collect();
         if derived.is_empty() {
             // This operator is not on the compatible's path (e.g. the other
@@ -107,11 +108,14 @@ pub fn picky_operators(
         // successors still carrying the compatible values count (Example 2).
         // We identify them via the consistency annotation; if none exists the
         // plain derived tuples are followed.
-        let carrying: Vec<&nrab_provenance::TracedTuple> =
-            derived.iter().copied().filter(|t| t.flags(0).consistent).collect();
+        let carrying: Vec<(usize, &nrab_provenance::TracedTuple)> = derived
+            .iter()
+            .copied()
+            .filter(|(index, _)| context.trace.consistent(*op_id, *index, 0))
+            .collect();
         let successors = if carrying.is_empty() { derived } else { carrying };
         let surviving: BTreeSet<u64> =
-            successors.iter().filter(|t| t.flags(0).retained).map(|t| t.id).collect();
+            successors.iter().filter(|(_, t)| t.flags(0).retained).map(|(_, t)| t.id).collect();
         if surviving.is_empty() {
             // All successors are filtered: the operator is picky, but only
             // operators that actually prune data can be blamed by
@@ -122,7 +126,7 @@ pub fn picky_operators(
             if !continue_past_picky {
                 break;
             }
-            live = successors.iter().map(|t| t.id).collect();
+            live = successors.iter().map(|(_, t)| t.id).collect();
         } else {
             live = surviving;
         }

@@ -75,13 +75,12 @@ pub fn approximate_msrs(
             }
             let op_id = ops[position];
             let node = plan.node(op_id).expect("operator exists");
-            let op_trace = trace.trace(op_id).expect("trace exists");
 
             // Line 8: does reparameterizing this operator help?
             let extend_with_op = node.op.is_parameterized()
-                && op_trace.has_reparameterization_witness(sa_index, &contributing);
+                && trace.has_reparameterization_witness(op_id, sa_index, &contributing);
             // Line 13: can the missing answer's data also pass unchanged?
-            let all_ones = op_trace.has_all_ones_witness(sa_index, Some(&contributing));
+            let all_ones = trace.has_all_ones_witness(op_id, sa_index, Some(&contributing));
 
             let is_last = position + 1 == ops.len();
             if !is_last {

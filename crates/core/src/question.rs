@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use nested_data::Nip;
+use nested_data::{Bag, NestedType, Nip};
 use nrab_algebra::{evaluate, Database, QueryPlan};
 
 use crate::error::{WhyNotError, WhyNotResult};
@@ -41,10 +41,21 @@ impl WhyNotQuestion {
     ///   is not actually missing — Definition 5 requires this).
     ///
     /// Returns the original query result so callers can reuse it.
-    pub fn validate(&self) -> WhyNotResult<std::sync::Arc<nested_data::Bag>> {
+    pub fn validate(&self) -> WhyNotResult<Arc<Bag>> {
+        self.validate_with(|| Ok(evaluate(&self.plan, &self.db)?))
+    }
+
+    /// [`WhyNotQuestion::validate`] with `⟦Q⟧_D` taken from `result` instead
+    /// of evaluated here, for callers that memoize query results. `result` is
+    /// called at most once, and only after the NIP passed the structural and
+    /// schema checks; it must return the result of `plan` over `db`.
+    pub fn validate_with(
+        &self,
+        result: impl FnOnce() -> WhyNotResult<Arc<Bag>>,
+    ) -> WhyNotResult<Arc<Bag>> {
         self.why_not.validate()?;
         let output_schema = nrab_algebra::schema::plan_output_type(&self.plan, &self.db)?;
-        if !self.why_not.conforms_to(&nested_data::NestedType::Tuple(output_schema.clone()))
+        if !self.why_not.conforms_to(&NestedType::Tuple(output_schema.clone()))
             && !matches!(self.why_not, Nip::Any)
         {
             return Err(WhyNotError::InvalidQuestion(format!(
@@ -52,7 +63,7 @@ impl WhyNotQuestion {
                 self.why_not, output_schema
             )));
         }
-        let result = evaluate(&self.plan, &self.db)?;
+        let result = result()?;
         if let Some((matching, _)) = result.iter().find(|(v, _)| self.why_not.matches(v)) {
             return Err(WhyNotError::InvalidQuestion(format!(
                 "the query result already contains a matching tuple: {matching}"
@@ -65,7 +76,7 @@ impl WhyNotQuestion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nested_data::{Bag, NestedType, TupleType, Value};
+    use nested_data::{TupleType, Value};
     use nrab_algebra::expr::{CmpOp, Expr};
     use nrab_algebra::PlanBuilder;
 

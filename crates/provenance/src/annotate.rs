@@ -2,19 +2,19 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use nested_data::Tuple;
 use nrab_algebra::OpId;
 
-/// The per-schema-alternative annotations of one traced tuple at one operator
-/// (Section 5.3).
+/// The question-independent annotations of one traced tuple at one operator
+/// under one schema alternative (Section 5.3). The third annotation,
+/// `consistent`, depends on the why-not question and lives in the
+/// [`TraceResult`] overlay instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SaFlags {
     /// Does the tuple exist under this schema alternative?
     pub valid: bool,
-    /// Can the tuple (re-validated against the pushed-down why-not
-    /// constraints) still contribute to the missing answer?
-    pub consistent: bool,
     /// Would the operator keep/produce this tuple under its *original*
     /// parameters (modulo the attribute changes of the alternative)?
     pub retained: bool,
@@ -23,20 +23,7 @@ pub struct SaFlags {
 impl SaFlags {
     /// Flags for a tuple that does not exist under the alternative (padding).
     pub fn absent() -> Self {
-        SaFlags { valid: false, consistent: false, retained: false }
-    }
-
-    /// Whether all annotations are set (the "all annotations being set to 1"
-    /// test of Algorithm 4, lines 13 and 18).
-    pub fn all_ones(&self) -> bool {
-        self.valid && self.consistent && self.retained
-    }
-
-    /// Whether the tuple witnesses the need to reparameterize the operator
-    /// (Algorithm 4, line 8): it exists, it can still contribute to the
-    /// missing answer, but the original operator loses it.
-    pub fn needs_reparameterization(&self) -> bool {
-        self.valid && self.consistent && !self.retained
+        SaFlags { valid: false, retained: false }
     }
 }
 
@@ -126,24 +113,6 @@ pub struct OpTrace {
 }
 
 impl OpTrace {
-    /// Whether any tuple needs a reparameterization of this operator under
-    /// alternative `sa` *and* contributes to a consistent output tuple
-    /// (`contributing` is the id set computed by
-    /// [`TraceResult::contributing_ids`]).
-    pub fn has_reparameterization_witness(&self, sa: usize, contributing: &BTreeSet<u64>) -> bool {
-        self.tuples
-            .iter()
-            .any(|t| t.flags(sa).needs_reparameterization() && contributing.contains(&t.id))
-    }
-
-    /// Whether any tuple has all annotations set under alternative `sa`
-    /// (optionally restricted to tuples contributing to a consistent output).
-    pub fn has_all_ones_witness(&self, sa: usize, contributing: Option<&BTreeSet<u64>>) -> bool {
-        self.tuples.iter().any(|t| {
-            t.flags(sa).all_ones() && contributing.map(|c| c.contains(&t.id)).unwrap_or(true)
-        })
-    }
-
     /// Number of traced tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()
@@ -155,21 +124,42 @@ impl OpTrace {
     }
 }
 
-/// The traced output of every operator of a plan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceResult {
-    /// Per-operator traces.
-    pub traces: BTreeMap<OpId, OpTrace>,
-    /// The root operator (the query output).
-    pub root: OpId,
-    /// Operator ids in pre-order (root first) — the order in which
-    /// `approximateMSRs` walks the plan.
-    pub pre_order: Vec<OpId>,
-    /// Number of schema alternatives traced.
-    pub num_sas: usize,
+/// The traced output of every operator of a plan, without the
+/// question-specific `consistent` annotation.
+///
+/// Produced by [`crate::trace_plan_generalized`]: it depends only on the plan,
+/// the database, and the attribute *substitutions* of the schema alternatives
+/// — never on the why-not question's pushed-down NIPs. It is therefore safe to
+/// cache and share across why-not questions that target the same plan and
+/// database; [`crate::annotate_consistency`] specializes a shared generalized
+/// trace to one question as a [`TraceResult`], which reads the trace but never
+/// writes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GeneralizedTrace {
+    pub(crate) traces: BTreeMap<OpId, OpTrace>,
+    pub(crate) root: OpId,
+    pub(crate) pre_order: Vec<OpId>,
+    pub(crate) num_sas: usize,
 }
 
-impl TraceResult {
+impl GeneralizedTrace {
+    /// Number of schema alternatives traced.
+    pub fn num_sas(&self) -> usize {
+        self.num_sas
+    }
+
+    /// Total number of traced tuples across all operators (a size measure for
+    /// cache accounting).
+    pub fn tuple_count(&self) -> usize {
+        self.traces.values().map(|t| t.tuples.len()).sum()
+    }
+
+    /// Operator ids in pre-order (root first) — the order in which
+    /// `approximateMSRs` walks the plan.
+    pub fn pre_order(&self) -> &[OpId] {
+        &self.pre_order
+    }
+
     /// The trace of one operator.
     pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
         self.traces.get(&op)
@@ -179,15 +169,98 @@ impl TraceResult {
     pub fn root_trace(&self) -> &OpTrace {
         &self.traces[&self.root]
     }
+}
+
+/// A fixed-size bit set: the `consistent` bits of one operator's trace, one
+/// per tuple × schema alternative (tuple-major).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Bits(Vec<u64>);
+
+impl Bits {
+    pub(crate) fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
+    }
+
+    pub(crate) fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn get(&self, i: usize) -> bool {
+        (self.0[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    pub(crate) fn count_ones(&self) -> usize {
+        self.0.iter().map(|word| word.count_ones() as usize).sum()
+    }
+}
+
+/// A generalized trace specialized to one why-not question: the shared,
+/// immutable [`GeneralizedTrace`] plus the question's `consistent`
+/// annotation as a bit overlay.
+///
+/// A tuple is *consistent* under a schema alternative if it is valid there
+/// and (re-validated against the alternative's pushed-down NIP for its
+/// operator) can still contribute to the missing answer. Bits are stored
+/// only for operators the question constrains (some alternative has a
+/// consistency NIP there); at every other operator a valid tuple is
+/// consistent, so those operators read `valid`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceResult {
+    base: Arc<GeneralizedTrace>,
+    consistent: BTreeMap<OpId, Bits>,
+}
+
+impl TraceResult {
+    pub(crate) fn new(base: Arc<GeneralizedTrace>, consistent: BTreeMap<OpId, Bits>) -> Self {
+        TraceResult { base, consistent }
+    }
+
+    /// The trace of one operator.
+    pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
+        self.base.trace(op)
+    }
+
+    /// The trace of the root operator (the generalized query output).
+    pub fn root_trace(&self) -> &OpTrace {
+        self.base.root_trace()
+    }
+
+    /// Whether tuple `index` of `op`'s trace is valid and consistent under
+    /// alternative `sa`.
+    pub fn consistent(&self, op: OpId, index: usize, sa: usize) -> bool {
+        let Some(tuple) = self.trace(op).and_then(|t| t.tuples.get(index)) else { return false };
+        self.is_consistent(self.consistent.get(&op), index, tuple, sa)
+    }
+
+    fn is_consistent(
+        &self,
+        bits: Option<&Bits>,
+        index: usize,
+        tuple: &TracedTuple,
+        sa: usize,
+    ) -> bool {
+        match bits {
+            Some(bits) => sa < self.base.num_sas && bits.get(index * self.base.num_sas + sa),
+            None => tuple.flags(sa).valid,
+        }
+    }
+
+    /// The tuples of `op`'s trace that are valid and consistent under `sa`.
+    fn consistent_tuples(&self, op: OpId, sa: usize) -> impl Iterator<Item = &TracedTuple> {
+        let bits = self.consistent.get(&op);
+        let tuples = self.trace(op).map(|t| t.tuples.as_slice()).unwrap_or(&[]);
+        tuples
+            .iter()
+            .enumerate()
+            .filter(move |(index, tuple)| self.is_consistent(bits, *index, tuple, sa))
+            .map(|(_, tuple)| tuple)
+    }
 
     /// Whether the query result under alternative `sa` contains a tuple that
     /// is valid and consistent — i.e. whether *some* reparameterization
     /// captured by the tracing can produce the missing answer under `sa`.
     pub fn has_consistent_output(&self, sa: usize) -> bool {
-        self.root_trace().tuples.iter().any(|t| {
-            let f = t.flags(sa);
-            f.valid && f.consistent
-        })
+        self.consistent_tuples(self.base.root, sa).next().is_some()
     }
 
     /// The identifiers of all traced tuples (at any operator) that lie in the
@@ -196,12 +269,12 @@ impl TraceResult {
     /// Algorithm 4, line 8.
     pub fn contributing_ids(&self, sa: usize) -> BTreeSet<u64> {
         let mut contributing = BTreeSet::new();
-        for (position, op_id) in self.pre_order.iter().enumerate() {
-            let Some(trace) = self.traces.get(op_id) else { continue };
-            for tuple in &trace.tuples {
+        for (position, op_id) in self.base.pre_order.iter().enumerate() {
+            let Some(trace) = self.trace(*op_id) else { continue };
+            let bits = self.consistent.get(op_id);
+            for (index, tuple) in trace.tuples.iter().enumerate() {
                 let selected = if position == 0 {
-                    let f = tuple.flags(sa);
-                    f.valid && f.consistent
+                    self.is_consistent(bits, index, tuple, sa)
                 } else {
                     contributing.contains(&tuple.id)
                 };
@@ -214,76 +287,40 @@ impl TraceResult {
         contributing
     }
 
-    /// Counts, for the root trace under alternative `sa`, the number of valid
-    /// tuples and the number of valid-and-retained tuples. Used for the loose
-    /// side-effect bounds of Section 5.4.
-    pub fn root_counts(&self, sa: usize) -> RootCounts {
-        let mut counts = RootCounts::default();
-        for tuple in &self.root_trace().tuples {
-            let f = tuple.flags(sa);
-            if f.valid {
-                counts.valid += 1;
-                if f.retained {
-                    counts.valid_retained += 1;
-                }
-                if f.consistent {
-                    counts.valid_consistent += 1;
-                }
-            }
-        }
-        counts
-    }
-}
-
-/// A whole-plan trace whose `consistent` flags have *not* been computed yet.
-///
-/// Produced by [`crate::trace_plan_generalized`]: it depends only on the plan,
-/// the database, and the attribute *substitutions* of the schema alternatives
-/// — never on the why-not question's pushed-down NIPs. It is therefore safe to
-/// cache and share across why-not questions that target the same plan and
-/// database; [`crate::annotate_consistency`] specializes a generalized trace
-/// to one question by filling in the `consistent` flags.
-///
-/// The `consistent` flags inside are placeholders (`false`); the type exists
-/// precisely so that un-annotated traces cannot be fed to the explanation
-/// algorithm by accident.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneralizedTrace {
-    pub(crate) inner: TraceResult,
-}
-
-impl GeneralizedTrace {
-    /// Number of schema alternatives traced.
-    pub fn num_sas(&self) -> usize {
-        self.inner.num_sas
+    /// Whether any tuple of `op`'s trace witnesses the need to reparameterize
+    /// `op` under alternative `sa` (Algorithm 4, line 8): it is valid and
+    /// consistent, the original operator loses it, and it contributes to a
+    /// consistent output tuple (`contributing` is the id set computed by
+    /// [`TraceResult::contributing_ids`]).
+    pub fn has_reparameterization_witness(
+        &self,
+        op: OpId,
+        sa: usize,
+        contributing: &BTreeSet<u64>,
+    ) -> bool {
+        self.consistent_tuples(op, sa)
+            .any(|t| !t.flags(sa).retained && contributing.contains(&t.id))
     }
 
-    /// Total number of traced tuples across all operators (a size measure for
-    /// cache accounting).
-    pub fn tuple_count(&self) -> usize {
-        self.inner.traces.values().map(|t| t.tuples.len()).sum()
+    /// Whether any tuple of `op`'s trace has all annotations set under
+    /// alternative `sa` (the "all annotations being set to 1" test of
+    /// Algorithm 4, lines 13 and 18), optionally restricted to tuples
+    /// contributing to a consistent output.
+    pub fn has_all_ones_witness(
+        &self,
+        op: OpId,
+        sa: usize,
+        contributing: Option<&BTreeSet<u64>>,
+    ) -> bool {
+        self.consistent_tuples(op, sa).any(|t| {
+            t.flags(sa).retained && contributing.map(|c| c.contains(&t.id)).unwrap_or(true)
+        })
     }
-
-    /// The operator ids covered by the trace, in pre-order.
-    pub fn pre_order(&self) -> &[OpId] {
-        &self.inner.pre_order
-    }
-}
-
-/// Tuple counts over the root trace used by the side-effect bounds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RootCounts {
-    /// Valid top-level tuples under the alternative.
-    pub valid: u64,
-    /// Valid tuples also retained by the root operator.
-    pub valid_retained: u64,
-    /// Valid tuples that are consistent with the why-not question.
-    pub valid_consistent: u64,
 }
 
 impl fmt::Display for SaFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "v={} c={} r={}", self.valid as u8, self.consistent as u8, self.retained as u8)
+        write!(f, "v={} r={}", self.valid as u8, self.retained as u8)
     }
 }
 
@@ -292,88 +329,70 @@ mod tests {
     use super::*;
     use nested_data::Value;
 
-    fn tuple(id: u64, flags: Vec<SaFlags>, input_ids: Vec<u64>) -> TracedTuple {
-        let variants: Vec<Option<Tuple>> = flags
-            .iter()
-            .map(|f| if f.valid { Some(Tuple::new([("x", Value::int(id as i64))])) } else { None })
-            .collect();
-        let inputs = vec![input_ids; flags.len()];
-        TracedTuple::new(id, variants, flags, inputs)
+    fn tuple(id: u64, valid: bool, retained: bool, input_ids: Vec<u64>) -> TracedTuple {
+        let variant = valid.then(|| Tuple::new([("x", Value::int(id as i64))]));
+        TracedTuple::new(id, vec![variant], vec![SaFlags { valid, retained }], vec![input_ids])
     }
 
-    fn flags(valid: bool, consistent: bool, retained: bool) -> SaFlags {
-        SaFlags { valid, consistent, retained }
+    /// One SA; `consistent[op]` lists the consistent tuple indexes of `op`.
+    fn overlay(base: &Arc<GeneralizedTrace>, consistent: &[(OpId, &[usize])]) -> TraceResult {
+        let bits = consistent
+            .iter()
+            .map(|(op, indexes)| {
+                let mut bits = Bits::new(base.traces[op].tuples.len());
+                indexes.iter().for_each(|i| bits.set(*i));
+                (*op, bits)
+            })
+            .collect();
+        TraceResult::new(Arc::clone(base), bits)
     }
 
     #[test]
     fn flag_predicates() {
-        assert!(flags(true, true, true).all_ones());
-        assert!(!flags(true, true, false).all_ones());
-        assert!(flags(true, true, false).needs_reparameterization());
-        assert!(!flags(false, true, false).needs_reparameterization());
-        assert_eq!(SaFlags::absent().to_string(), "v=0 c=0 r=0");
+        assert_eq!(SaFlags::absent().to_string(), "v=0 r=0");
+        assert_eq!(SaFlags { valid: true, retained: false }.to_string(), "v=1 r=0");
     }
 
     #[test]
     fn contributing_ids_follow_lineage_from_consistent_outputs() {
         // Plan: op 2 (root) <- op 1 <- op 0, one SA.
-        let mut traces = BTreeMap::new();
-        traces.insert(
-            0,
-            OpTrace {
-                op: 0,
-                kind: "table".into(),
-                tuples: vec![
-                    tuple(1, vec![flags(true, true, true)], vec![]),
-                    tuple(2, vec![flags(true, false, true)], vec![]),
-                ],
-            },
-        );
-        traces.insert(
-            1,
-            OpTrace {
-                op: 1,
-                kind: "σ".into(),
-                tuples: vec![
-                    tuple(3, vec![flags(true, true, false)], vec![1]),
-                    tuple(4, vec![flags(true, false, true)], vec![2]),
-                ],
-            },
-        );
-        traces.insert(
-            2,
-            OpTrace {
-                op: 2,
-                kind: "Nᴿ".into(),
-                tuples: vec![
-                    tuple(5, vec![flags(true, true, true)], vec![3]),
-                    tuple(6, vec![flags(true, false, true)], vec![4]),
-                ],
-            },
-        );
-        let result = TraceResult { traces, root: 2, pre_order: vec![2, 1, 0], num_sas: 1 };
+        let op = |op: OpId, kind: &str, tuples| OpTrace { op, kind: kind.into(), tuples };
+        let traces = BTreeMap::from([
+            (0, op(0, "table", vec![tuple(1, true, true, vec![]), tuple(2, true, true, vec![])])),
+            (1, op(1, "σ", vec![tuple(3, true, false, vec![1]), tuple(4, true, true, vec![2])])),
+            (2, op(2, "Nᴿ", vec![tuple(5, true, true, vec![3]), tuple(6, true, true, vec![4])])),
+        ]);
+        let base =
+            Arc::new(GeneralizedTrace { traces, root: 2, pre_order: vec![2, 1, 0], num_sas: 1 });
+        let result = overlay(&base, &[(0, &[0]), (1, &[0]), (2, &[0])]);
 
         assert!(result.has_consistent_output(0));
         let contributing = result.contributing_ids(0);
         assert_eq!(contributing, BTreeSet::from([5, 3, 1]));
 
         // The selection (op 1) has a reparameterization witness (tuple 3).
-        assert!(result.trace(1).unwrap().has_reparameterization_witness(0, &contributing));
+        assert!(result.has_reparameterization_witness(1, 0, &contributing));
         // The root does not (its consistent tuple is retained).
-        assert!(!result.trace(2).unwrap().has_reparameterization_witness(0, &contributing));
+        assert!(!result.has_reparameterization_witness(2, 0, &contributing));
         // All-ones witness exists at the root and at op 0.
-        assert!(result.trace(2).unwrap().has_all_ones_witness(0, Some(&contributing)));
-        assert!(result.trace(0).unwrap().has_all_ones_witness(0, Some(&contributing)));
+        assert!(result.has_all_ones_witness(2, 0, Some(&contributing)));
+        assert!(result.has_all_ones_witness(0, 0, Some(&contributing)));
 
-        let counts = result.root_counts(0);
-        assert_eq!(counts.valid, 2);
-        assert_eq!(counts.valid_retained, 2);
-        assert_eq!(counts.valid_consistent, 1);
+        assert!(result.consistent(2, 0, 0));
+        assert!(!result.consistent(2, 1, 0));
+
+        // Operators without an overlay read `valid`: every valid tuple is
+        // consistent there.
+        let unconstrained = overlay(&base, &[]);
+        assert!(unconstrained.consistent(2, 1, 0));
+        assert!(unconstrained.consistent(1, 1, 0));
+        assert!(!result.consistent(1, 1, 0));
+        assert!(!result.consistent(1, 9, 0), "out-of-range tuples are not consistent");
     }
 
     #[test]
     fn variant_and_flag_accessors_handle_out_of_range() {
-        let t = tuple(7, vec![flags(true, true, true)], vec![3]);
+        let t = tuple(7, true, true, vec![3]);
         assert!(t.variant(0).is_some());
         assert!(t.variant(5).is_none());
         assert_eq!(t.flags(5), SaFlags::absent());

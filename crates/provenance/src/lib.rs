@@ -18,6 +18,12 @@
 //! * `retained` — whether the operator would keep/produce the tuple under its
 //!   *original* parameters.
 //!
+//! `valid`, `retained`, the data variants and the lineage do not depend on
+//! the why-not question, so they form the cacheable [`GeneralizedTrace`].
+//! `consistent` does; [`annotate_consistency`] computes it per question as a
+//! bit overlay ([`TraceResult`]) on a shared, never-modified generalized
+//! trace.
+//!
 //! The explanation engine (`whynot-core`) reads these annotations in its
 //! `approximateMSRs` step (Algorithm 4).
 

@@ -3,7 +3,8 @@
 //!
 //! For every plan operator, the tracer computes an [`OpTrace`] whose tuples
 //! carry, per schema alternative, the data variant and the `valid` /
-//! `consistent` / `retained` flags. Operators are *generalized* so that data a
+//! `retained` flags; [`annotate_consistency`] adds a question's `consistent`
+//! flags as an overlay. Operators are *generalized* so that data a
 //! reparameterization could keep also flows upward:
 //!
 //! * selections annotate instead of filtering,
@@ -24,6 +25,7 @@
 //! to the serial one at any `WHYNOT_THREADS` (the cross-crate determinism
 //! tests enforce this).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -42,7 +44,7 @@ use nrab_algebra::{
 use whynot_exec::{par_map, par_map_range};
 
 use crate::alternative::SchemaAlternative;
-use crate::annotate::{GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
+use crate::annotate::{Bits, GeneralizedTrace, OpTrace, SaFlags, TraceResult, TracedTuple};
 
 /// Traces a plan over a database under the given schema alternatives.
 ///
@@ -58,7 +60,7 @@ pub fn trace_plan(
     db: &Database,
     sas: &[SchemaAlternative],
 ) -> AlgebraResult<TraceResult> {
-    let base = trace_plan_generalized(plan, db, sas)?;
+    let base = Arc::new(trace_plan_generalized(plan, db, sas)?);
     Ok(annotate_consistency(&base, plan, sas))
 }
 
@@ -69,9 +71,8 @@ pub fn trace_plan(
 /// Only the attribute *substitutions* of `sas` are consulted — never their
 /// consistency NIPs — so the result can be reused across why-not questions
 /// that share the plan, the database, and the substitution sets (the trace
-/// cache of `whynot-service` is keyed accordingly). The `consistent` flags of
-/// the returned trace are placeholders; [`annotate_consistency`] fills them in
-/// for a concrete question.
+/// cache of `whynot-service` is keyed accordingly). [`annotate_consistency`]
+/// adds the `consistent` annotation of a concrete question.
 pub fn trace_plan_generalized(
     plan: &QueryPlan,
     db: &Database,
@@ -95,107 +96,108 @@ pub fn trace_plan_generalized(
         whynot_obs::add("trace.sas", sas.len() as u64);
     }
     Ok(GeneralizedTrace {
-        inner: TraceResult {
-            traces: tracer.traces,
-            root: plan.root.id,
-            pre_order: plan.op_ids_top_down(),
-            num_sas: sas.len(),
-        },
+        traces: tracer.traces,
+        root: plan.root.id,
+        pre_order: plan.op_ids_top_down(),
+        num_sas: sas.len(),
     })
 }
 
 /// The cheap, question-specific part of tracing: re-validates every traced
 /// tuple against the consistency NIPs of the schema alternatives (the
-/// pushed-down why-not constraints produced by schema backtracing) and fills
-/// in the `consistent` flags.
+/// pushed-down why-not constraints produced by schema backtracing) and
+/// records the `consistent` annotation as a bit overlay on the shared trace.
+/// `base` itself is never modified, so one cached trace serves any number of
+/// questions.
 ///
 /// `sas` must describe the same substitution sets (in the same order) as the
 /// ones `base` was traced under; only the consistency NIPs may differ.
 pub fn annotate_consistency(
-    base: &GeneralizedTrace,
+    base: &Arc<GeneralizedTrace>,
     plan: &QueryPlan,
     sas: &[SchemaAlternative],
 ) -> TraceResult {
-    // Per-operator annotation is independent work; each operator's tuples
-    // are in turn annotated in parallel chunks. Only the outermost level
-    // actually fans out (nested calls always serialize), so the per-tuple
-    // level parallelizes exactly when the operator level ran serially
-    // (e.g. a single-operator plan).
     let _span = whynot_obs::span("annotate");
-    let entries: Vec<(OpId, &OpTrace)> = base.inner.traces.iter().map(|(op, t)| (*op, t)).collect();
-    let annotated: Vec<OpTrace> = par_map(&entries, |(op, op_trace)| {
+    debug_assert_eq!(sas.len(), base.num_sas, "the bit overlay is laid out per traced SA");
+    let mut consistent = BTreeMap::new();
+    for (op, op_trace) in &base.traces {
         let _span = whynot_obs::span_dyn(|| format!("annotate:{}#{}", op_trace.kind, op));
-        let trace = annotate_op_consistency(op_trace, *op, plan, sas);
+        let bits = annotate_op_consistency(op_trace, *op, plan, sas);
         if whynot_obs::enabled() {
-            let compatible: u64 = trace
-                .tuples
-                .iter()
-                .map(|t| t.flags.iter().filter(|f| f.valid && f.consistent).count() as u64)
-                .sum();
-            whynot_obs::add("trace.compatible", compatible);
+            let compatible = match &bits {
+                Some(bits) => bits.count_ones(),
+                None => op_trace.tuples.iter().flat_map(|t| &t.flags).filter(|f| f.valid).count(),
+            };
+            whynot_obs::add("trace.compatible", compatible as u64);
         }
-        trace
-    });
-    TraceResult {
-        traces: entries.iter().map(|(op, _)| *op).zip(annotated).collect(),
-        root: base.inner.root,
-        pre_order: base.inner.pre_order.clone(),
-        num_sas: base.inner.num_sas,
+        if let Some(bits) = bits {
+            consistent.insert(*op, bits);
+        }
     }
+    TraceResult::new(Arc::clone(base), consistent)
 }
 
-/// Annotates one operator's trace: re-validates every tuple against the
-/// consistency NIPs of the schema alternatives and fills in the `consistent`
-/// flags.
+/// Computes one operator's `consistent` bits (tuple-major, one per tuple ×
+/// schema alternative), or `None` when no alternative constrains the
+/// operator — then every valid tuple is consistent.
 fn annotate_op_consistency(
     base: &OpTrace,
     op: OpId,
     plan: &QueryPlan,
     sas: &[SchemaAlternative],
-) -> OpTrace {
+) -> Option<Bits> {
     let node = plan.node(op).ok();
     let is_group_agg = matches!(node.map(|n| &n.op), Some(Operator::GroupAggregation { .. }));
-    let tuples = par_map(&base.tuples, |tuple| {
-        let mut tuple = tuple.clone();
-        for (sa_idx, sa) in sas.iter().enumerate() {
-            let Some(flags) = tuple.flags.get_mut(sa_idx) else { continue };
-            if !flags.valid {
+    // One NIP per alternative, prepared once per operator.
+    let nips: Vec<Option<Cow<'_, Nip>>> = sas
+        .iter()
+        .map(|sa| {
+            let nip = sa.consistency_nip(op)?;
+            if !is_group_agg {
+                return Some(Cow::Borrowed(nip));
+            }
+            // Upper-bound constraints on aggregate outputs can always be met
+            // by a more restrictive choice of contributing tuples, which the
+            // tracing does not enumerate (Section 5.5): relax them.
+            let node = node.expect("group aggregation node exists in plan");
+            let agg_outputs: Vec<String> = match sa.effective_operator(node) {
+                Operator::GroupAggregation { aggs, .. } => {
+                    aggs.iter().map(|a| a.output.clone()).collect()
+                }
+                _ => Vec::new(),
+            };
+            Some(Cow::Owned(relax_aggregate_upper_bounds(nip, &agg_outputs)))
+        })
+        .collect();
+    if nips.iter().all(Option::is_none) {
+        return None;
+    }
+    let n = sas.len();
+    let mut bits = Bits::new(base.tuples.len() * n);
+    for (index, tuple) in base.tuples.iter().enumerate() {
+        for (sa, nip) in nips.iter().enumerate() {
+            if !tuple.flags(sa).valid {
                 continue;
             }
-            let Some(variant) = tuple.variants.get(sa_idx).and_then(Option::as_ref) else {
-                continue;
-            };
-            flags.consistent = match sa.consistency_nip(op) {
+            let Some(variant) = tuple.variant(sa) else { continue };
+            let consistent = match nip {
                 None => true,
-                Some(nip) if is_group_agg => {
-                    // Upper-bound constraints on aggregate outputs can
-                    // always be met by a more restrictive choice of
-                    // contributing tuples, which the tracing does not
-                    // enumerate (Section 5.5); relax them, then accept the
-                    // group if either the all-members aggregate or the
-                    // retained-members fallback satisfies the NIP.
-                    let node = node.expect("group aggregation node exists in plan");
-                    let agg_outputs: Vec<String> = match sa.effective_operator(node) {
-                        Operator::GroupAggregation { aggs, .. } => {
-                            aggs.iter().map(|a| a.output.clone()).collect()
-                        }
-                        _ => Vec::new(),
-                    };
-                    let relaxed_nip = relax_aggregate_upper_bounds(nip, &agg_outputs);
-                    nip_matches_tuple(&relaxed_nip, variant)
-                        || tuple
-                            .fallback_variants
-                            .get(sa_idx)
-                            .and_then(Option::as_ref)
-                            .map(|f| nip_matches_tuple(&relaxed_nip, f))
-                            .unwrap_or(false)
+                // A group is accepted if either the all-members aggregate or
+                // the retained-members fallback satisfies the relaxed NIP.
+                Some(nip) => {
+                    nip_matches_tuple(nip, variant)
+                        || (is_group_agg
+                            && tuple
+                                .fallback_variant(sa)
+                                .is_some_and(|f| nip_matches_tuple(nip, f)))
                 }
-                Some(nip) => nip_matches_tuple(nip, variant),
             };
+            if consistent {
+                bits.set(index * n + sa);
+            }
         }
-        tuple
-    });
-    OpTrace { op: base.op, kind: base.kind.clone(), tuples }
+    }
+    Some(bits)
 }
 
 struct Tracer<'a> {
@@ -813,7 +815,7 @@ impl<'a> Tracer<'a> {
                         // is kept as the fallback variant consulted by the
                         // consistency annotation (Section 5.5).
                         let retained = !group.retained_members.is_empty();
-                        flags.push(SaFlags { valid: true, consistent: false, retained });
+                        flags.push(SaFlags { valid: true, retained });
                         variants.push(Some(relaxed));
                         fallbacks.push(Some(retained_only));
                     }
@@ -966,13 +968,11 @@ fn selection_row(
     (variants, flags)
 }
 
-/// Builds the question-independent flags of a variant: validity is inherited
-/// from the input, `retained` is provided by the operator-specific tracing
-/// procedure, and `consistent` is a placeholder that [`annotate_consistency`]
-/// fills in per question.
+/// Builds the flags of a variant: validity is inherited from the input, and
+/// `retained` is provided by the operator-specific tracing procedure.
 fn base_flags(variant: Option<&Tuple>, input_valid: bool, retained: bool) -> SaFlags {
     match variant {
-        Some(_) if input_valid => SaFlags { valid: true, consistent: false, retained },
+        Some(_) if input_valid => SaFlags { valid: true, retained },
         _ => SaFlags::absent(),
     }
 }
@@ -1107,27 +1107,28 @@ mod tests {
         trace_plan(&running_example_plan(), &person_db(), &example_sas()).unwrap()
     }
 
+    /// The index of the first tuple of `trace` satisfying `pred`.
+    fn position(trace: &OpTrace, pred: impl Fn(&TracedTuple) -> bool) -> usize {
+        trace.tuples.iter().position(pred).expect("tuple exists")
+    }
+
+    fn named(name: &str) -> impl Fn(&TracedTuple) -> bool + '_ {
+        move |t| t.variant(0).unwrap().get("name") == Some(&Value::str(name))
+    }
+
     #[test]
     fn table_access_consistency_mirrors_figure_4() {
         let result = trace_example();
         let table = result.trace(0).unwrap();
         assert_eq!(table.len(), 2);
         // Peter: no NY in address2 (SA1: inconsistent), NY 2010 in address1 (SA2: consistent).
-        let peter = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
-            .unwrap();
-        assert!(!peter.flags(0).consistent);
-        assert!(peter.flags(1).consistent);
+        let peter = position(table, named("Peter"));
+        assert!(!result.consistent(0, peter, 0));
+        assert!(result.consistent(0, peter, 1));
         // Sue: NY in both address relations.
-        let sue = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
-            .unwrap();
-        assert!(sue.flags(0).consistent);
-        assert!(sue.flags(1).consistent);
+        let sue = position(table, named("Sue"));
+        assert!(result.consistent(0, sue, 0));
+        assert!(result.consistent(0, sue, 1));
     }
 
     #[test]
@@ -1138,9 +1139,10 @@ mod tests {
         assert_eq!(flatten.len(), 5);
         // Exactly one row is consistent under S1 (Sue's NY 2018 address2 entry).
         let consistent_s1: Vec<_> =
-            flatten.tuples.iter().filter(|t| t.flags(0).consistent).collect();
+            (0..flatten.len()).filter(|i| result.consistent(1, *i, 0)).collect();
         assert_eq!(consistent_s1.len(), 1);
-        assert_eq!(consistent_s1[0].variant(0).unwrap().get("name"), Some(&Value::str("Sue")));
+        let sue = &flatten.tuples[consistent_s1[0]];
+        assert_eq!(sue.variant(0).unwrap().get("name"), Some(&Value::str("Sue")));
         // Under S1 only 4 rows are valid (Peter's address2 has 2 entries).
         assert_eq!(flatten.tuples.iter().filter(|t| t.flags(0).valid).count(), 4);
         assert_eq!(flatten.tuples.iter().filter(|t| t.flags(1).valid).count(), 5);
@@ -1153,9 +1155,9 @@ mod tests {
         let result = trace_example();
         let selection = result.trace(2).unwrap();
         // The consistent S1 tuple (Sue, NY, 2018) is not retained by year ≥ 2019.
-        let witness =
-            selection.tuples.iter().find(|t| t.flags(0).consistent && t.flags(0).valid).unwrap();
-        assert!(!witness.flags(0).retained);
+        let witness = (0..selection.len()).find(|i| result.consistent(2, *i, 0)).unwrap();
+        assert!(selection.tuples[witness].flags(0).valid);
+        assert!(!selection.tuples[witness].flags(0).retained);
         // Some valid tuple *is* retained (Sue's LA 2019).
         assert!(selection.tuples.iter().any(|t| t.flags(0).valid && t.flags(0).retained));
     }
@@ -1166,18 +1168,14 @@ mod tests {
         let nest = result.root_trace();
         // Groups across both SAs: NY, LA, SF (S1) and NY, LA, LV (S2) → 4 city groups.
         assert_eq!(nest.len(), 4);
-        let ny = nest
-            .tuples
-            .iter()
-            .find(|t| {
-                t.variant(0)
-                    .or(t.variant(1))
-                    .map(|v| v.get("city") == Some(&Value::str("NY")))
-                    .unwrap_or(false)
-            })
-            .unwrap();
-        assert!(ny.flags(0).valid && ny.flags(0).consistent);
-        assert!(ny.flags(1).valid && ny.flags(1).consistent);
+        let ny = position(nest, |t| {
+            t.variant(0)
+                .or(t.variant(1))
+                .map(|v| v.get("city") == Some(&Value::str("NY")))
+                .unwrap_or(false)
+        });
+        assert!(result.consistent(4, ny, 0));
+        assert!(result.consistent(4, ny, 1));
         // The LV group only exists under S2 (it comes from address1).
         let lv = nest
             .tuples
@@ -1197,16 +1195,8 @@ mod tests {
         let result = trace_example();
         let contributing = result.contributing_ids(0);
         let table = result.trace(0).unwrap();
-        let sue = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Sue")))
-            .unwrap();
-        let peter = table
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
-            .unwrap();
+        let sue = &table.tuples[position(table, named("Sue"))];
+        let peter = &table.tuples[position(table, named("Peter"))];
         assert!(contributing.contains(&sue.id));
         // Peter's tuple cannot contribute to the NY answer under S1...
         assert!(!contributing.contains(&peter.id));
@@ -1217,20 +1207,18 @@ mod tests {
     #[test]
     fn selection_has_reparameterization_witness_under_both_sas() {
         let result = trace_example();
-        let selection = result.trace(2).unwrap();
         for sa in 0..2 {
             let contributing = result.contributing_ids(sa);
             assert!(
-                selection.has_reparameterization_witness(sa, &contributing),
+                result.has_reparameterization_witness(2, sa, &contributing),
                 "selection must be a candidate under SA {sa}"
             );
         }
         // The flatten has no reparameterization witness (all its consistent
         // tuples are retained).
-        let flatten = result.trace(1).unwrap();
         for sa in 0..2 {
             let contributing = result.contributing_ids(sa);
-            assert!(!flatten.has_reparameterization_witness(sa, &contributing));
+            assert!(!result.has_reparameterization_witness(1, sa, &contributing));
         }
     }
 
@@ -1271,16 +1259,17 @@ mod tests {
         let join = result.root_trace();
         // 1 matched pair + 1 unmatched left + 1 unmatched right.
         assert_eq!(join.len(), 3);
-        let padded = join
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).map(|v| v.get("a") == Some(&Value::int(7))).unwrap_or(false))
-            .unwrap();
-        assert!(padded.flags(0).valid);
-        assert!(padded.flags(0).consistent);
-        assert!(!padded.flags(0).retained, "inner join does not retain the padded tuple");
+        let padded = position(join, |t| {
+            t.variant(0).map(|v| v.get("a") == Some(&Value::int(7))).unwrap_or(false)
+        });
+        assert!(join.tuples[padded].flags(0).valid);
+        assert!(result.consistent(plan.root.id, padded, 0));
+        assert!(
+            !join.tuples[padded].flags(0).retained,
+            "inner join does not retain the padded tuple"
+        );
         let contributing = result.contributing_ids(0);
-        assert!(join.has_reparameterization_witness(0, &contributing));
+        assert!(result.has_reparameterization_witness(plan.root.id, 0, &contributing));
     }
 
     #[test]
@@ -1308,14 +1297,13 @@ mod tests {
         let sas = vec![SchemaAlternative::original(consistency)];
         let result = trace_plan(&plan, &db, &sas).unwrap();
         let root = result.root_trace();
-        let peter = root
-            .tuples
-            .iter()
-            .find(|t| t.variant(0).unwrap().get("name") == Some(&Value::str("Peter")))
-            .unwrap();
+        let peter = position(root, named("Peter"));
         // Relaxed count (3 addresses) satisfies cnt ≥ 2, so the group is consistent.
-        assert!(peter.flags(0).consistent);
-        assert!(peter.flags(0).retained, "the group also exists in the original result");
+        assert!(result.consistent(plan.root.id, peter, 0));
+        assert!(
+            root.tuples[peter].flags(0).retained,
+            "the group also exists in the original result"
+        );
     }
 
     #[test]

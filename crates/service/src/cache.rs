@@ -1,6 +1,12 @@
-//! The trace cache: generalized (question-independent) traces keyed by
-//! database identity, plan fingerprint, and the substitution signature of the
-//! schema-alternative set.
+//! The service's two caches, both instances of one sharded LRU
+//! ([`ShardedLru`]):
+//!
+//! * the **trace cache** ([`TraceCache`]): generalized (question-independent)
+//!   traces keyed by database identity, plan fingerprint, and the
+//!   substitution signature of the schema-alternative set;
+//! * the **result memo** ([`ResultCache`]): the query result `⟦Q⟧_D` keyed by
+//!   database identity and plan fingerprint, which question validation
+//!   checks the why-not tuple against.
 //!
 //! The generalized trace is the expensive part of answering a why-not
 //! question (it evaluates the whole plan in generalized form over the data);
@@ -9,29 +15,32 @@
 //! plan and database — including questions with *different* why-not tuples,
 //! since the cache key deliberately excludes the pushed-down NIPs (see
 //! `nrab_provenance::trace_plan_generalized`). This mirrors how approximate
-//! provenance summaries are reused across queries in related systems.
+//! provenance summaries are reused across queries in related systems. The
+//! result memo does the same for the query evaluation that validation needs,
+//! so a trace-cache hit evaluates nothing.
 //!
 //! # Sharding
 //!
-//! The cache is split into [`TraceCache::shards`] independent shards, each
-//! with its own lock, LRU order, in-flight set, and entry/weight bounds; a
-//! key's shard is chosen by hashing the whole [`TraceKey`]. Concurrent
-//! requests for *different* keys therefore contend only when their keys
-//! happen to share a shard, instead of serializing on one global mutex —
-//! the property the HTTP front end (`whynot serve`) depends on once many
-//! connections hit the cache at once. The per-key in-flight deduplication
-//! (one computation per key, waiters reuse it) is unchanged: it only ever
-//! involved one key, so it lives entirely inside the key's shard.
+//! A cache is split into [`ShardedLru::shards`] independent shards, each with
+//! its own lock, LRU order, in-flight set, and entry/weight bounds; a key's
+//! shard is chosen by hashing the whole key. Concurrent requests for
+//! *different* keys therefore contend only when their keys happen to share a
+//! shard, instead of serializing on one global mutex — the property the HTTP
+//! front end (`whynot serve`) depends on once many connections hit the cache
+//! at once. The per-key in-flight deduplication (one computation per key,
+//! waiters reuse it) only ever involves one key, so it lives entirely inside
+//! the key's shard.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex};
 
+use nested_data::Bag;
 use nrab_algebra::AlgebraResult;
 use nrab_provenance::GeneralizedTrace;
 
-/// Cache key: where the data came from, which plan was traced, and which
-/// attribute substitutions were applied.
+/// Trace-cache key: where the data came from, which plan was traced, and
+/// which attribute substitutions were applied.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     /// Database identity (catalog name or inline-content fingerprint).
@@ -45,14 +54,53 @@ pub struct TraceKey {
     pub substitutions: String,
 }
 
+/// Result-memo key: a trace key without the substitutions. Every trace key
+/// has exactly one result key, so the memo never needs more entries than
+/// the trace cache to cover the same working set.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ResultKey {
+    /// Database identity (catalog name or inline-content fingerprint).
+    pub db: String,
+    /// Database version (0 for inline databases).
+    pub db_version: u64,
+    /// Fingerprint of the plan's canonical wire encoding.
+    pub plan_fingerprint: u64,
+}
+
+/// The generalized-trace cache.
+pub type TraceCache = ShardedLru<TraceKey, GeneralizedTrace>;
+
+/// The query-result memo (`⟦Q⟧_D` per database version and plan).
+pub type ResultCache = ShardedLru<ResultKey, Bag>;
+
+/// The size measure a cache bounds its total weight by.
+pub trait Weighted {
+    /// The entry's weight.
+    fn weight(&self) -> u64;
+}
+
+impl Weighted for GeneralizedTrace {
+    /// Traced tuples across all operators.
+    fn weight(&self) -> u64 {
+        self.tuple_count() as u64
+    }
+}
+
+impl Weighted for Bag {
+    /// Distinct top-level tuples.
+    fn weight(&self) -> u64 {
+        self.distinct() as u64
+    }
+}
+
 /// Aggregate cache counters, summed over all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a cached trace.
+    /// Lookups that found a cached value.
     pub hits: u64,
-    /// Lookups that had to compute the trace.
+    /// Lookups that had to compute the value.
     pub misses: u64,
-    /// Lookups that found the trace *in flight* on another thread and waited
+    /// Lookups that found the value *in flight* on another thread and waited
     /// for it instead of recomputing (they also count as hits once the value
     /// arrives).
     pub coalesced: u64,
@@ -60,7 +108,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Entries evicted because a shard was full (by count or by weight).
     pub evictions: u64,
-    /// Total weight (traced tuples) of the cached entries.
+    /// Total weight of the cached entries (see [`Weighted`]).
     pub weight: u64,
     /// The cache's total weight capacity (per-shard capacity × shards).
     pub weight_capacity: u64,
@@ -88,26 +136,26 @@ impl CacheStats {
 pub struct ShardOccupancy {
     /// Entries currently cached in this shard.
     pub entries: usize,
-    /// Total weight (traced tuples) of this shard's entries.
+    /// Total weight of this shard's entries.
     pub weight: u64,
 }
 
-/// One cached trace with its precomputed weight (traced tuples), so eviction
-/// accounting never re-walks the trace.
+/// One cached value with its precomputed weight, so eviction accounting
+/// never re-walks the value.
 #[derive(Debug)]
-struct CachedTrace {
-    trace: Arc<GeneralizedTrace>,
+struct Cached<V> {
+    value: Arc<V>,
     weight: u64,
 }
 
-#[derive(Debug, Default)]
-struct ShardInner {
-    map: HashMap<TraceKey, CachedTrace>,
+#[derive(Debug)]
+struct ShardInner<K, V> {
+    map: HashMap<K, Cached<V>>,
     /// Keys in least-recently-used order (front = coldest).
-    order: VecDeque<TraceKey>,
+    order: VecDeque<K>,
     /// Keys currently being computed by some thread. Concurrent requests for
     /// an in-flight key wait on the shard's condvar instead of recomputing.
-    inflight: HashSet<TraceKey>,
+    inflight: HashSet<K>,
     /// Sum of the cached entries' weights.
     total_weight: u64,
     hits: u64,
@@ -116,8 +164,23 @@ struct ShardInner {
     evictions: u64,
 }
 
-impl ShardInner {
-    fn touch(&mut self, key: &TraceKey) {
+impl<K, V> Default for ShardInner<K, V> {
+    fn default() -> Self {
+        ShardInner {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            inflight: HashSet::new(),
+            total_weight: 0,
+            hits: 0,
+            misses: 0,
+            coalesced: 0,
+            evictions: 0,
+        }
+    }
+}
+
+impl<K: Eq + Clone, V> ShardInner<K, V> {
+    fn touch(&mut self, key: &K) {
         if let Some(pos) = self.order.iter().position(|k| k == key) {
             self.order.remove(pos);
         }
@@ -126,63 +189,69 @@ impl ShardInner {
 }
 
 /// One shard: an independently locked LRU map with its own in-flight set.
-#[derive(Debug, Default)]
-struct Shard {
-    inner: Mutex<ShardInner>,
+#[derive(Debug)]
+struct Shard<K, V> {
+    inner: Mutex<ShardInner<K, V>>,
     inflight_cv: Condvar,
 }
 
-/// A bounded, thread-safe, **sharded** LRU cache of generalized traces with
-/// per-key in-flight deduplication: when two requests race on the same key,
-/// one computes the trace and the other waits for it — the expensive
-/// generalized evaluation runs **once per key**, which the concurrent-batch
-/// stress tests pin down.
+impl<K, V> Default for Shard<K, V> {
+    fn default() -> Self {
+        Shard { inner: Mutex::new(ShardInner::default()), inflight_cv: Condvar::new() }
+    }
+}
+
+/// A bounded, thread-safe, **sharded** LRU cache with per-key in-flight
+/// deduplication: when two requests race on the same key, one computes the
+/// value and the other waits for it — the expensive computation runs **once
+/// per key**, which the concurrent-batch stress tests pin down.
 ///
-/// Each shard is bounded two ways: by entry count *and* by total weight
-/// (traced tuples, [`GeneralizedTrace::tuple_count`]). Trace sizes span
-/// orders of magnitude — the paper's worst cases grow with data size and
-/// alternative count — so an entry-count bound alone would let a handful of
-/// giant traces occupy unbounded memory. Whichever bound is exceeded evicts
-/// from the shard's cold end; the most recently inserted entry is never
-/// evicted, so even an over-weight giant stays cached until something newer
-/// lands in its shard. Eviction order is per-shard LRU: entries compete for
-/// space only with the keys that hash to the same shard.
+/// Each shard is bounded two ways: by entry count *and* by total
+/// [`Weighted::weight`]. Trace sizes span orders of magnitude — the paper's
+/// worst cases grow with data size and alternative count — so an entry-count
+/// bound alone would let a handful of giant traces occupy unbounded memory.
+/// Whichever bound is exceeded evicts from the shard's cold end; the most
+/// recently inserted entry is never evicted, so even an over-weight giant
+/// stays cached until something newer lands in its shard. Eviction order is
+/// per-shard LRU: entries compete for space only with the keys that hash to
+/// the same shard. Evicted values are freed after the shard lock is
+/// released, so freeing a large trace never blocks the shard's other keys.
 #[derive(Debug)]
-pub struct TraceCache {
-    shards: Vec<Shard>,
+pub struct ShardedLru<K, V> {
+    shards: Vec<Shard<K, V>>,
     shard_capacity: usize,
     shard_weight_capacity: u64,
 }
 
-/// Default number of cached traces (across all shards).
+/// Default number of cached entries (across all shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// Default weight capacity: total traced tuples across all cached entries.
+/// Default weight capacity: total weight across all cached entries.
 pub const DEFAULT_CACHE_WEIGHT_CAPACITY: u64 = 4_000_000;
 
 /// Default shard count. Shards multiply lock granularity, not memory: the
 /// entry and weight capacities are divided across them.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
 
-impl Default for TraceCache {
+impl<K: Hash + Eq + Clone, V: Weighted> Default for ShardedLru<K, V> {
     fn default() -> Self {
-        TraceCache::new(DEFAULT_CACHE_CAPACITY)
+        ShardedLru::new(DEFAULT_CACHE_CAPACITY)
     }
 }
 
-impl TraceCache {
-    /// Creates a cache holding at most `capacity` traces (minimum 1) with the
-    /// default weight capacity and shard count.
+impl<K: Hash + Eq + Clone, V: Weighted> ShardedLru<K, V> {
+    /// Creates a cache holding at most `capacity` entries (minimum 1) with
+    /// the default weight capacity and shard count.
     pub fn new(capacity: usize) -> Self {
-        TraceCache::with_weight_capacity(capacity, DEFAULT_CACHE_WEIGHT_CAPACITY)
+        ShardedLru::with_weight_capacity(capacity, DEFAULT_CACHE_WEIGHT_CAPACITY)
     }
 
-    /// Creates a cache bounded by both entry count and total trace weight,
-    /// with the default shard count (never more shards than entries, so each
-    /// shard can hold at least one trace).
+    /// Creates a cache bounded by both entry count and total weight, with
+    /// the default shard count (never more shards than entries, so each
+    /// shard can hold at least one entry).
     pub fn with_weight_capacity(capacity: usize, weight_capacity: u64) -> Self {
         let shards = DEFAULT_CACHE_SHARDS.min(capacity.max(1));
-        TraceCache::with_shards(capacity, weight_capacity, shards)
+        ShardedLru::with_shards(capacity, weight_capacity, shards)
     }
 
     /// Creates a cache with an explicit shard count (minimum 1). The entry
@@ -192,7 +261,7 @@ impl TraceCache {
     pub fn with_shards(capacity: usize, weight_capacity: u64, shards: usize) -> Self {
         let shards = shards.max(1);
         let capacity = capacity.max(1);
-        TraceCache {
+        ShardedLru {
             shards: (0..shards).map(|_| Shard::default()).collect(),
             shard_capacity: capacity.div_ceil(shards),
             shard_weight_capacity: weight_capacity.div_ceil(shards as u64),
@@ -204,33 +273,33 @@ impl TraceCache {
         self.shards.len()
     }
 
-    fn shard_for(&self, key: &TraceKey) -> &Shard {
+    fn shard_for(&self, key: &K) -> &Shard<K, V> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    /// Returns the cached trace for `key`, computing and inserting it with
+    /// Returns the cached value for `key`, computing and inserting it with
     /// `compute` on a miss. The boolean is `true` on a hit (including hits
     /// obtained by waiting for another thread's in-flight computation).
     ///
     /// Failed computations are not cached, and a failure wakes any waiters so
     /// one of them takes over the computation.
-    pub fn get_or_compute(
+    pub fn get_or_compute<C: Into<Arc<V>>>(
         &self,
-        key: TraceKey,
-        compute: impl FnOnce() -> AlgebraResult<GeneralizedTrace>,
-    ) -> AlgebraResult<(Arc<GeneralizedTrace>, bool)> {
+        key: K,
+        compute: impl FnOnce() -> AlgebraResult<C>,
+    ) -> AlgebraResult<(Arc<V>, bool)> {
         let shard = self.shard_for(&key);
         {
-            let mut inner = shard.inner.lock().expect("trace cache poisoned");
+            let mut inner = shard.inner.lock().expect("cache poisoned");
             let mut waited = false;
             loop {
                 if let Some(cached) = inner.map.get(&key) {
-                    let trace = Arc::clone(&cached.trace);
+                    let value = Arc::clone(&cached.value);
                     inner.hits += 1;
                     inner.touch(&key);
-                    return Ok((trace, true));
+                    return Ok((value, true));
                 }
                 if inner.inflight.insert(key.clone()) {
                     // We own the computation now.
@@ -246,7 +315,7 @@ impl TraceCache {
                     inner.coalesced += 1;
                     waited = true;
                 }
-                inner = shard.inflight_cv.wait(inner).expect("trace cache poisoned");
+                inner = shard.inflight_cv.wait(inner).expect("cache poisoned");
             }
         }
 
@@ -254,35 +323,40 @@ impl TraceCache {
         // the in-flight marker and wakes waiters on *every* exit path —
         // success, error, and panic alike.
         let guard = InflightGuard { shard, key: &key };
-        let trace = Arc::new(compute()?);
+        let value: Arc<V> = compute()?.into();
 
-        let weight = trace.tuple_count() as u64;
+        let weight = value.weight();
 
-        let mut inner = shard.inner.lock().expect("trace cache poisoned");
+        let mut inner = shard.inner.lock().expect("cache poisoned");
         inner.misses += 1;
         // The in-flight marker guarantees the key is absent from both the
         // map and the LRU order here, so a plain append is already the
         // most-recently-used position.
-        inner.map.insert(key.clone(), CachedTrace { trace: Arc::clone(&trace), weight });
+        inner.map.insert(key.clone(), Cached { value: Arc::clone(&value), weight });
         inner.order.push_back(key.clone());
         inner.total_weight += weight;
         // Evict from the cold end while either bound is exceeded, but never
-        // the entry just inserted — an over-weight giant trace still gets
-        // cached (it just stands alone).
+        // the entry just inserted — an over-weight giant still gets cached
+        // (it just stands alone).
+        let mut evicted = Vec::new();
         while (inner.map.len() > self.shard_capacity
             || inner.total_weight > self.shard_weight_capacity)
             && inner.map.len() > 1
         {
             if let Some(coldest) = inner.order.pop_front() {
-                if let Some(evicted) = inner.map.remove(&coldest) {
-                    inner.total_weight -= evicted.weight;
+                if let Some(entry) = inner.map.remove(&coldest) {
+                    inner.total_weight -= entry.weight;
+                    evicted.push((coldest, entry));
                 }
                 inner.evictions += 1;
             }
         }
         drop(inner);
         drop(guard);
-        Ok((trace, false))
+        // Free the evicted values (possibly the last handle on a large trace)
+        // without holding the shard lock.
+        drop(evicted);
+        Ok((value, false))
     }
 
     /// Current counters, aggregated across all shards.
@@ -293,7 +367,7 @@ impl TraceCache {
             ..CacheStats::default()
         };
         for shard in &self.shards {
-            let inner = shard.inner.lock().expect("trace cache poisoned");
+            let inner = shard.inner.lock().expect("cache poisoned");
             stats.hits += inner.hits;
             stats.misses += inner.misses;
             stats.coalesced += inner.coalesced;
@@ -310,7 +384,7 @@ impl TraceCache {
         self.shards
             .iter()
             .map(|shard| {
-                let inner = shard.inner.lock().expect("trace cache poisoned");
+                let inner = shard.inner.lock().expect("cache poisoned");
                 ShardOccupancy { entries: inner.map.len(), weight: inner.total_weight }
             })
             .collect()
@@ -319,25 +393,39 @@ impl TraceCache {
     /// Drops all entries (counters are kept).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut inner = shard.inner.lock().expect("trace cache poisoned");
-            inner.map.clear();
+            let mut inner = shard.inner.lock().expect("cache poisoned");
+            let map = std::mem::take(&mut inner.map);
             inner.order.clear();
             inner.total_weight = 0;
+            drop(inner);
+            drop(map);
         }
+    }
+
+    /// Handles on every cached value, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn values(&self) -> Vec<Arc<V>> {
+        self.shards
+            .iter()
+            .flat_map(|shard| {
+                let inner = shard.inner.lock().expect("cache poisoned");
+                inner.map.values().map(|cached| Arc::clone(&cached.value)).collect::<Vec<_>>()
+            })
+            .collect()
     }
 }
 
 /// Removes the in-flight marker for a key and wakes the shard's waiters when
 /// dropped, so a failing (or panicking) computation never strands the threads
 /// waiting on it.
-struct InflightGuard<'a> {
-    shard: &'a Shard,
-    key: &'a TraceKey,
+struct InflightGuard<'a, K: Hash + Eq, V> {
+    shard: &'a Shard<K, V>,
+    key: &'a K,
 }
 
-impl Drop for InflightGuard<'_> {
+impl<K: Hash + Eq, V> Drop for InflightGuard<'_, K, V> {
     fn drop(&mut self) {
-        let mut inner = self.shard.inner.lock().expect("trace cache poisoned");
+        let mut inner = self.shard.inner.lock().expect("cache poisoned");
         inner.inflight.remove(self.key);
         drop(inner);
         self.shard.inflight_cv.notify_all();
@@ -362,6 +450,11 @@ mod tests {
         (plan, db, sas)
     }
 
+    /// The compute function of a lookup that must hit.
+    fn cached() -> AlgebraResult<GeneralizedTrace> {
+        panic!("a cached key must not be recomputed")
+    }
+
     fn key(n: u64) -> TraceKey {
         TraceKey {
             db: "db".into(),
@@ -384,8 +477,7 @@ mod tests {
         let (_, hit) =
             cache.get_or_compute(key(1), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         assert!(!hit);
-        let (_, hit) =
-            cache.get_or_compute(key(1), || panic!("must not recompute on a hit")).unwrap();
+        let (_, hit) = cache.get_or_compute(key(1), cached).unwrap();
         assert!(hit);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -399,13 +491,13 @@ mod tests {
             cache.get_or_compute(key(n), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         }
         // Touch key 1 so key 2 becomes the coldest.
-        cache.get_or_compute(key(1), || panic!("hit expected")).unwrap();
+        cache.get_or_compute(key(1), cached).unwrap();
         cache.get_or_compute(key(3), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         // Key 2 was evicted; key 1 survived.
-        cache.get_or_compute(key(1), || panic!("hit expected")).unwrap();
+        cache.get_or_compute(key(1), cached).unwrap();
         let (_, hit) =
             cache.get_or_compute(key(2), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         assert!(!hit);
@@ -415,8 +507,9 @@ mod tests {
     fn failed_computations_are_not_cached() {
         let (plan, db, sas) = tiny_setup();
         let cache = TraceCache::new(2);
-        let err =
-            cache.get_or_compute(key(9), || Err(nrab_algebra::AlgebraError::Eval("boom".into())));
+        let err = cache.get_or_compute(key(9), || {
+            Err::<GeneralizedTrace, _>(nrab_algebra::AlgebraError::Eval("boom".into()))
+        });
         assert!(err.is_err());
         assert_eq!(cache.stats().entries, 0);
         let (_, hit) =
@@ -487,7 +580,7 @@ mod tests {
         // The error was not cached; the key is present from the successful
         // retry (at least two attempts happened: the failure and a success).
         assert!(attempts.load(Ordering::SeqCst) >= 2);
-        let (_, hit) = cache.get_or_compute(key(77), || panic!("must be cached")).unwrap();
+        let (_, hit) = cache.get_or_compute(key(77), cached).unwrap();
         assert!(hit);
     }
 
@@ -519,7 +612,7 @@ mod tests {
         // newest one is always kept (never evict the just-inserted entry).
         let cache = TraceCache::with_shards(16, 0, 1);
         cache.get_or_compute(key(1), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
-        let (_, hit) = cache.get_or_compute(key(1), || panic!("must be cached")).unwrap();
+        let (_, hit) = cache.get_or_compute(key(1), cached).unwrap();
         assert!(hit);
         cache.get_or_compute(key(2), || trace_plan_generalized(&plan, &db, &sas)).unwrap();
         let stats = cache.stats();
@@ -584,6 +677,43 @@ mod tests {
             assert!(shard.entries <= 1, "per-shard capacity exceeded: {shard:?}");
         }
         assert_eq!(stats.evictions, 32 - stats.entries as u64);
+    }
+
+    /// A value that records whether its shard's lock was free when it was
+    /// dropped.
+    struct Probe;
+
+    static PROBED: std::sync::OnceLock<&'static ShardedLru<TraceKey, Probe>> =
+        std::sync::OnceLock::new();
+    static DROPPED_UNLOCKED: std::sync::atomic::AtomicUsize =
+        std::sync::atomic::AtomicUsize::new(0);
+
+    impl Weighted for Probe {
+        fn weight(&self) -> u64 {
+            1
+        }
+    }
+
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            let cache = PROBED.get().expect("probe cache installed");
+            if cache.shards[0].inner.try_lock().is_ok() {
+                DROPPED_UNLOCKED.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_values_are_freed_outside_the_shard_lock() {
+        let cache: &'static ShardedLru<TraceKey, Probe> =
+            Box::leak(Box::new(ShardedLru::with_shards(1, 100, 1)));
+        PROBED.set(cache).ok().expect("installed once");
+        // The returned handles are dropped at once, so the cache holds the
+        // only one and eviction frees the value.
+        cache.get_or_compute(key(1), || Ok(Probe)).unwrap();
+        cache.get_or_compute(key(2), || Ok(Probe)).unwrap();
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(DROPPED_UNLOCKED.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The explanation service: resolves requests against the catalog, answers
 //! single or batched why-not questions, and reuses generalized traces through
-//! the [`TraceCache`].
+//! the [`TraceCache`] and query results through the [`ResultCache`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nested_data::Nip;
-use nrab_algebra::{AlgebraResult, Database, QueryPlan};
+use nrab_algebra::{evaluate, AlgebraError, AlgebraResult, Database, QueryPlan};
 use nrab_provenance::{substitution_signature, GeneralizedTrace, SchemaAlternative};
 use whynot_core::{
     AttributeAlternative, EngineConfig, TraceProvider, WhyNotEngine, WhyNotQuestion,
 };
 
-use crate::cache::{CacheStats, TraceCache, TraceKey};
+use crate::cache::{CacheStats, ResultCache, ResultKey, TraceCache, TraceKey};
 use crate::catalog::{fingerprint64, plan_fingerprint, Catalog};
 use crate::error::{ServiceError, ServiceResult};
 use crate::json::Json;
@@ -256,6 +256,11 @@ impl ExplainResponse {
 pub struct ExplainService {
     catalog: Catalog,
     cache: TraceCache,
+    /// `⟦Q⟧_D` per database version and plan, for question validation. Its
+    /// capacities are the trace cache's: every trace key has exactly one
+    /// result key, so it never needs more entries to cover the same working
+    /// set.
+    results: ResultCache,
 }
 
 /// A resolved database: shared data plus the identity the cache keys on.
@@ -271,9 +276,14 @@ impl ExplainService {
         ExplainService::default()
     }
 
-    /// Creates a service with a custom trace-cache capacity.
+    /// Creates a service with a custom cache capacity (the trace cache's and
+    /// the result memo's).
     pub fn with_cache_capacity(capacity: usize) -> Self {
-        ExplainService { catalog: Catalog::new(), cache: TraceCache::new(capacity) }
+        ExplainService {
+            catalog: Catalog::new(),
+            cache: TraceCache::new(capacity),
+            results: ResultCache::new(capacity),
+        }
     }
 
     /// The catalog (for registration and lookups).
@@ -325,10 +335,10 @@ impl ExplainService {
     }
 
     /// Cumulative service metrics: process-wide request counters and latency
-    /// histogram around this instance's trace-cache counters (the `stats`
-    /// wire response).
+    /// histogram around this instance's cache counters (the `stats` wire
+    /// response).
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats::gather(self.cache.stats(), self.cache.shard_occupancy())
+        ServiceStats::gather(self.cache.stats(), self.cache.shard_occupancy(), self.results.stats())
     }
 
     /// Answers one why-not question, enforcing the request's resource limits
@@ -378,8 +388,29 @@ impl ExplainService {
             Arc::clone(&resolved.db),
             request.why_not.clone(),
         );
-        let original_result = question.validate()?;
-        let original_result_size = original_result.total();
+        let original_result_size = {
+            let _span = whynot_obs::span("validate");
+            let key = ResultKey {
+                db: resolved.cache_id.clone(),
+                db_version: resolved.cache_version,
+                plan_fingerprint: plan_fp,
+            };
+            let result = question.validate_with(|| {
+                let (result, hit) =
+                    self.results.get_or_compute(key, || evaluate(&plan, &resolved.db))?;
+                if whynot_obs::enabled() {
+                    whynot_obs::add(if hit { "result_cache.hit" } else { "result_cache.miss" }, 1);
+                }
+                if hit {
+                    // A hit evaluates nothing, so it checks the request's
+                    // guard here: a tripped deadline still wins over the
+                    // answer-already-present check, as it does on a miss.
+                    whynot_guard::checkpoint().map_err(AlgebraError::from)?;
+                }
+                Ok(result)
+            })?;
+            result.total()
+        };
 
         let mut config = EngineConfig {
             use_schema_alternatives: request.use_schema_alternatives,
@@ -562,6 +593,13 @@ mod tests {
     use nrab_algebra::PlanBuilder;
 
     fn person_db() -> Database {
+        person_db_with_sue_in_ny_since(2018)
+    }
+
+    /// The running example's person table; Sue's NY address (in both address
+    /// relations) dates from `ny_year`. From 2019 on, the query's result
+    /// contains NY, so the running example's question is already answered.
+    fn person_db_with_sue_in_ny_since(ny_year: i64) -> Database {
         let address =
             TupleType::new([("city", NestedType::str()), ("year", NestedType::int())]).unwrap();
         let person_ty = TupleType::new([
@@ -580,8 +618,8 @@ mod tests {
         ]);
         let sue = Value::tuple([
             ("name", Value::str("Sue")),
-            ("address1", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
-            ("address2", Value::bag([addr("LA", 2019), addr("NY", 2018)])),
+            ("address1", Value::bag([addr("LA", 2019), addr("NY", ny_year)])),
+            ("address2", Value::bag([addr("LA", 2019), addr("NY", ny_year)])),
         ]);
         let mut db = Database::new();
         db.add_relation("person", person_ty, Bag::from_values([peter, sue]));
@@ -728,6 +766,11 @@ mod tests {
         let cache = doc.get("trace_cache").unwrap();
         assert_eq!(cache.get("hits").and_then(Json::as_i64), Some(1));
         assert_eq!(cache.get("misses").and_then(Json::as_i64), Some(1));
+        let results = doc.get("result_cache").expect("result_cache section");
+        assert_eq!(results.get("hits").and_then(Json::as_i64), Some(1));
+        assert_eq!(results.get("misses").and_then(Json::as_i64), Some(1));
+        assert_eq!(results.get("entries").and_then(Json::as_i64), Some(1));
+        assert_eq!(results.get("evictions").and_then(Json::as_i64), Some(0));
         // Process-wide counters move monotonically; this instance answered 2.
         assert!(
             doc.get("requests").unwrap().get("total").and_then(Json::as_i64).unwrap() >= 2,
@@ -793,5 +836,85 @@ mod tests {
         assert!(!no_sa_response.stats.trace_cache_hit);
         assert_eq!(no_sa_response.report.explanations.len(), 1);
         assert_eq!(service.cache_stats().entries, 2);
+    }
+
+    fn named_request(why_not: Nip) -> ExplainRequest {
+        ExplainRequest::new(
+            DbRef::Named("person_small".into()),
+            PlanRef::Named("running".into()),
+            why_not,
+        )
+        .with_alternatives(vec![AttributeAlternative::new("person", "address2", "address1")])
+    }
+
+    fn result_cache(service: &ExplainService) -> (u64, u64, usize) {
+        let stats = service.stats().result_cache;
+        (stats.hits, stats.misses, stats.entries)
+    }
+
+    #[test]
+    fn re_registered_databases_never_serve_the_old_query_result() {
+        let mut service = service();
+        let request = named_request(ny_question());
+        assert!(service.explain(&request).is_ok(), "NY is missing from v1's result");
+        assert!(service.explain(&request).is_ok());
+        assert_eq!(result_cache(&service), (1, 1, 1));
+        // v2: Sue lives in NY since 2020, so ⟦Q⟧_D now contains NY.
+        service
+            .catalog_mut()
+            .register_database("person_small", person_db_with_sue_in_ny_since(2020));
+        let err = service.explain(&request).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::WhyNot(whynot_core::WhyNotError::InvalidQuestion(_))),
+            "{err:?}"
+        );
+        assert_eq!(result_cache(&service), (1, 2, 2), "v2 is a new result key");
+    }
+
+    #[test]
+    fn deadline_trips_cache_no_query_result() {
+        let service = service();
+        let err = service.explain(&named_request(ny_question()).with_timeout_ms(0)).unwrap_err();
+        assert_eq!(err.kind(), "deadline", "{err:?}");
+        assert_eq!(result_cache(&service), (0, 0, 0), "a tripped evaluation is not cached");
+        service.explain(&named_request(ny_question())).unwrap();
+        assert_eq!(result_cache(&service), (0, 1, 1));
+        service.explain(&named_request(ny_question())).unwrap();
+        assert_eq!(result_cache(&service), (1, 1, 1));
+        // A memo hit still checks the deadline first: an already-answered
+        // question reports the trip, not the answer, as it does on a miss.
+        let la = Nip::tuple([("city", Nip::val("LA")), ("nList", Nip::Any)]);
+        let err = service.explain(&named_request(la).with_timeout_ms(0)).unwrap_err();
+        assert_eq!(err.kind(), "deadline", "{err:?}");
+        assert_eq!(result_cache(&service), (2, 1, 1));
+    }
+
+    #[test]
+    fn answered_questions_fail_alike_on_a_result_miss_and_hit() {
+        let service = service();
+        let la = named_request(Nip::tuple([("city", Nip::val("LA")), ("nList", Nip::Any)]));
+        let miss = service.explain(&la).unwrap_err();
+        let hit = service.explain(&la).unwrap_err();
+        assert_eq!(result_cache(&service), (1, 1, 1));
+        assert!(matches!(miss, ServiceError::WhyNot(_)), "{miss:?}");
+        assert_eq!(miss.to_string(), hit.to_string());
+        assert!(miss.to_string().contains("already contains a matching tuple"), "{miss}");
+    }
+
+    #[test]
+    fn answering_questions_leaves_the_cached_trace_unchanged() {
+        let service = service();
+        service.explain(&named_request(ny_question())).unwrap();
+        let cached = service.cache.values();
+        assert_eq!(cached.len(), 1);
+        let snapshot: GeneralizedTrace = (*cached[0]).clone();
+        let sf = Nip::tuple([("city", Nip::val("SF")), ("nList", Nip::bag([Nip::Any, Nip::Star]))]);
+        for why_not in [sf, ny_question()] {
+            let response = service.explain(&named_request(why_not)).unwrap();
+            assert!(response.stats.trace_cache_hit);
+        }
+        let after = service.cache.values();
+        assert!(Arc::ptr_eq(&cached[0], &after[0]), "the entry was not replaced");
+        assert!(*after[0] == snapshot, "annotation must not write the shared trace");
     }
 }

@@ -128,6 +128,8 @@ pub struct ServiceStats {
     /// Per-shard cache occupancy, in shard order (sums to
     /// [`CacheStats::entries`] / [`CacheStats::weight`]).
     pub shard_occupancy: Vec<ShardOccupancy>,
+    /// Result-memo counters of the service instance that answered.
+    pub result_cache: CacheStats,
     /// Pool counters since process start.
     pub pool: PoolStats,
     /// Resource-guard counters (checks, trips, injected faults).
@@ -138,9 +140,13 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Gathers the process-wide metrics around the given cache counters and
-    /// per-shard occupancy.
-    pub fn gather(cache: CacheStats, shard_occupancy: Vec<ShardOccupancy>) -> ServiceStats {
+    /// Gathers the process-wide metrics around the given trace-cache
+    /// counters, its per-shard occupancy, and the result-memo counters.
+    pub fn gather(
+        cache: CacheStats,
+        shard_occupancy: Vec<ShardOccupancy>,
+        result_cache: CacheStats,
+    ) -> ServiceStats {
         ServiceStats {
             threads: whynot_exec::effective_threads(),
             requests: REQUESTS.get(),
@@ -150,6 +156,7 @@ impl ServiceStats {
             latency: REQUEST_LATENCY.snapshot(),
             cache,
             shard_occupancy,
+            result_cache,
             pool: whynot_exec::pool_stats(),
             guard: whynot_guard::guard_stats(),
             http: crate::http::http_stats(),
@@ -186,29 +193,17 @@ impl ServiceStats {
             ),
             (
                 "trace_cache",
-                Json::object([
-                    ("hits", Json::Int(self.cache.hits as i64)),
-                    ("misses", Json::Int(self.cache.misses as i64)),
-                    ("coalesced", Json::Int(self.cache.coalesced as i64)),
-                    ("entries", Json::Int(self.cache.entries as i64)),
-                    ("evictions", Json::Int(self.cache.evictions as i64)),
-                    ("weight", Json::Int(self.cache.weight as i64)),
-                    ("weight_capacity", Json::Int(self.cache.weight_capacity as i64)),
-                    // 0.0 (not NaN) before the first lookup, see
-                    // `CacheStats::hit_rate`.
-                    ("hit_rate", Json::Float(self.cache.hit_rate())),
-                    ("shards", Json::Int(self.cache.shards as i64)),
-                    (
-                        "shard_occupancy",
-                        Json::array(self.shard_occupancy.iter().map(|shard| {
-                            Json::object([
-                                ("entries", Json::Int(shard.entries as i64)),
-                                ("weight", Json::Int(shard.weight as i64)),
-                            ])
-                        })),
-                    ),
-                ]),
+                Json::object(cache_fields(&self.cache).chain([(
+                    "shard_occupancy",
+                    Json::array(self.shard_occupancy.iter().map(|shard| {
+                        Json::object([
+                            ("entries", Json::Int(shard.entries as i64)),
+                            ("weight", Json::Int(shard.weight as i64)),
+                        ])
+                    })),
+                )])),
             ),
+            ("result_cache", Json::object(cache_fields(&self.result_cache))),
             (
                 "http",
                 Json::object([
@@ -252,6 +247,24 @@ impl ServiceStats {
             ),
         ])
     }
+}
+
+/// The counters of one cache section of the `stats` response
+/// (`trace_cache` adds its shard occupancy; `result_cache` is just these).
+fn cache_fields(cache: &CacheStats) -> impl Iterator<Item = (&'static str, Json)> {
+    [
+        ("hits", Json::Int(cache.hits as i64)),
+        ("misses", Json::Int(cache.misses as i64)),
+        ("coalesced", Json::Int(cache.coalesced as i64)),
+        ("entries", Json::Int(cache.entries as i64)),
+        ("evictions", Json::Int(cache.evictions as i64)),
+        ("weight", Json::Int(cache.weight as i64)),
+        ("weight_capacity", Json::Int(cache.weight_capacity as i64)),
+        // 0.0 (not NaN) before the first lookup, see `CacheStats::hit_rate`.
+        ("hit_rate", Json::Float(cache.hit_rate())),
+        ("shards", Json::Int(cache.shards as i64)),
+    ]
+    .into_iter()
 }
 
 /// Encodes a [`ProfileReport`] in the wire style: counters and meta keep
@@ -382,9 +395,9 @@ mod tests {
 
     #[test]
     fn service_stats_encode_all_sections() {
-        let stats = ServiceStats::gather(CacheStats::default(), Vec::new());
+        let stats = ServiceStats::gather(CacheStats::default(), Vec::new(), CacheStats::default());
         let json = stats.to_json();
-        for key in ["threads", "requests", "trace_cache", "pool", "guard", "http"] {
+        for key in ["threads", "requests", "trace_cache", "result_cache", "pool", "guard", "http"] {
             assert!(json.get(key).is_some(), "missing `{key}`");
         }
         let latency = json.get("requests").unwrap().get("latency_ns").unwrap();
@@ -394,5 +407,9 @@ mod tests {
         assert!(cache.get("shard_occupancy").is_some());
         // hit_rate is a number (0.0) even with zero lookups.
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.0));
+        let results = json.get("result_cache").unwrap();
+        for key in ["hits", "misses", "entries", "evictions", "hit_rate"] {
+            assert!(results.get(key).is_some(), "missing `result_cache.{key}`");
+        }
     }
 }

@@ -291,6 +291,9 @@ fn stats_over_http_report_shards_and_http_counters() {
         occupancy.iter().map(|s| s.get("entries").and_then(Json::as_i64).expect("entries")).sum();
     assert_eq!(Some(total_entries), cache.get("entries").and_then(Json::as_i64));
     assert!(total_entries >= 1, "the explain above must have cached a trace");
+    let results = doc.get("result_cache").expect("result_cache section");
+    let memoized = results.get("entries").and_then(Json::as_i64).expect("result entries");
+    assert!(memoized >= 1, "the explain above must have memoized its query result");
 
     let http = doc.get("http").expect("http section");
     assert!(http.get("requests").and_then(Json::as_i64).expect("requests") >= 2);
